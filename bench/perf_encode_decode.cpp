@@ -1,8 +1,10 @@
 // Microbenchmarks: curve key encode/decode throughput per family, the
-// generic-vs-magic-mask Morton ablation, and the batched-vs-scalar codec
-// comparison (the PR-1 acceptance gate checks batched Z encode is >= 2x the
-// scalar-virtual loop at 1M points; tools/check_bench_speedup.py parses the
-// --benchmark_out JSON).
+// generic-vs-magic-mask Morton ablation, the batched-vs-scalar codec
+// comparison (CI checks batched Z encode is >= 2x the scalar-virtual loop at
+// 1M points), and the Hilbert state-table codec against Skilling's
+// transforms, the reference it is derived from (CI checks batched Hilbert
+// encode and decode are >= 4x it at 1M keys).  tools/check_bench_speedup.py
+// parses the --benchmark_out JSON.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -11,6 +13,7 @@
 
 #include "sfc/curves/bitops.h"
 #include "sfc/curves/curve_factory.h"
+#include "sfc/curves/hilbert_skilling.h"
 #include "sfc/rng/xoshiro256.h"
 
 namespace {
@@ -129,6 +132,42 @@ void BM_DecodeBatch(benchmark::State& state, CurveFamily family, int d, int k) {
                           static_cast<std::int64_t>(count));
 }
 
+// Skilling's transpose kernels over the same buffers as the Hilbert batch
+// benchmarks: the reference the table codec is derived from.
+void BM_EncodeSkilling(benchmark::State& state, int d, int k) {
+  const Universe u = Universe::pow2(d, k);
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const auto cells = make_cells(u, count);
+  std::vector<index_t> keys(count);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < count; ++i) {
+      keys[i] = skilling::index_of(cells[i], k);
+    }
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(count));
+}
+
+void BM_DecodeSkilling(benchmark::State& state, int d, int k) {
+  const Universe u = Universe::pow2(d, k);
+  const auto count = static_cast<std::size_t>(state.range(0));
+  std::vector<index_t> keys(count);
+  Xoshiro256 rng(11);
+  for (auto& key : keys) key = rng.next_below(u.cell_count());
+  std::vector<Point> cells(count, Point::zero(d));
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < count; ++i) {
+      cells[i] = skilling::point_at(keys[i], d, k);
+    }
+    benchmark::DoNotOptimize(cells.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(count));
+}
+
 void BM_MortonGenericSpread(benchmark::State& state) {
   Xoshiro256 rng(1);
   std::vector<std::uint32_t> values(1024);
@@ -187,6 +226,10 @@ BENCHMARK_CAPTURE(BM_EncodeScalarLoop, hilbert_d2_k10, CurveFamily::kHilbert, 2,
     ->SFC_BATCH_SIZES;
 BENCHMARK_CAPTURE(BM_EncodeBatch, hilbert_d2_k10, CurveFamily::kHilbert, 2, 10)
     ->SFC_BATCH_SIZES;
+BENCHMARK_CAPTURE(BM_EncodeSkilling, hilbert_d2_k10, 2, 10)->SFC_BATCH_SIZES;
+BENCHMARK_CAPTURE(BM_EncodeBatch, hilbert_d3_k7, CurveFamily::kHilbert, 3, 7)
+    ->SFC_BATCH_SIZES;
+BENCHMARK_CAPTURE(BM_EncodeSkilling, hilbert_d3_k7, 3, 7)->SFC_BATCH_SIZES;
 BENCHMARK_CAPTURE(BM_DecodeScalarLoop, z_d2_k10, CurveFamily::kZ, 2, 10)
     ->SFC_BATCH_SIZES;
 BENCHMARK_CAPTURE(BM_DecodeBatch, z_d2_k10, CurveFamily::kZ, 2, 10)
@@ -195,6 +238,12 @@ BENCHMARK_CAPTURE(BM_DecodeScalarLoop, gray_d2_k10, CurveFamily::kGray, 2, 10)
     ->SFC_BATCH_SIZES;
 BENCHMARK_CAPTURE(BM_DecodeBatch, gray_d2_k10, CurveFamily::kGray, 2, 10)
     ->SFC_BATCH_SIZES;
+BENCHMARK_CAPTURE(BM_DecodeBatch, hilbert_d2_k10, CurveFamily::kHilbert, 2, 10)
+    ->SFC_BATCH_SIZES;
+BENCHMARK_CAPTURE(BM_DecodeSkilling, hilbert_d2_k10, 2, 10)->SFC_BATCH_SIZES;
+BENCHMARK_CAPTURE(BM_DecodeBatch, hilbert_d3_k7, CurveFamily::kHilbert, 3, 7)
+    ->SFC_BATCH_SIZES;
+BENCHMARK_CAPTURE(BM_DecodeSkilling, hilbert_d3_k7, 3, 7)->SFC_BATCH_SIZES;
 #undef SFC_BATCH_SIZES
 
 BENCHMARK_MAIN();

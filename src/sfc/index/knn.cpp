@@ -56,20 +56,25 @@ struct FrontierAfter {
 void KnnEngine::consider_rows(const Point& query, std::uint32_t k,
                               std::uint64_t first, std::uint64_t last,
                               KnnStats& stats) {
-  const std::span<const Point> points = view_.points();
   const std::span<const index_t> keys = view_.keys();
   const Closer closer;
-  for (std::uint64_t row = first; row < last; ++row) {
-    ++stats.rows_scanned;
-    const Candidate candidate{squared_euclidean_distance(query, points[row]),
-                              keys[row], row};
-    if (best_.size() < k) {
-      best_.push_back(candidate);
-      std::push_heap(best_.begin(), best_.end(), closer);
-    } else if (closer(candidate, best_.front())) {
-      std::pop_heap(best_.begin(), best_.end(), closer);
-      best_.back() = candidate;
-      std::push_heap(best_.begin(), best_.end(), closer);
+  for (std::uint64_t at = first; at < last; at += kLeafRows) {
+    // Rows carry no points: decode this tile of keys to their cells.
+    const std::uint64_t n = std::min<std::uint64_t>(kLeafRows, last - at);
+    view_.curve().point_at_batch(keys.subspan(at, n),
+                                 std::span<Point>(tile_.data(), n));
+    stats.rows_scanned += n;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const Candidate candidate{squared_euclidean_distance(query, tile_[i]),
+                                keys[at + i], at + i};
+      if (best_.size() < k) {
+        best_.push_back(candidate);
+        std::push_heap(best_.begin(), best_.end(), closer);
+      } else if (closer(candidate, best_.front())) {
+        std::pop_heap(best_.begin(), best_.end(), closer);
+        best_.back() = candidate;
+        std::push_heap(best_.begin(), best_.end(), closer);
+      }
     }
   }
 }

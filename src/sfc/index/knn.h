@@ -7,7 +7,8 @@
 // best-first, ordering a frontier of subtree nodes by the exact minimum
 // squared Euclidean distance from the query to their subcubes
 // (SubtreeNode::min_squared_distance).  Subtrees holding no indexed rows are
-// pruned through the block directory; small row ranges are scanned; and the
+// pruned through the block directory; small row ranges are scanned, their
+// keys decoded to cells a tile of at most kLeafRows at a time; and the
 // search stops with a *correctness certificate*: the k-th best distance
 // found is <= the min distance of every unpopped frontier node, so no
 // unvisited row can improve the answer.  Results are exact and
@@ -21,6 +22,7 @@
 // bit-identically.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -95,6 +97,7 @@ class KnnEngine {
     std::uint64_t row_last;
   };
 
+  /// Evaluates rows [first, last), decoding their keys kLeafRows at a time.
   void consider_rows(const Point& query, std::uint32_t k, std::uint64_t first,
                      std::uint64_t last, KnnStats& stats);
 
@@ -104,6 +107,7 @@ class KnnEngine {
   std::vector<Candidate> best_;
   std::vector<Visit> frontier_;
   std::vector<SubtreeNode> children_;
+  std::array<Point, kLeafRows> tile_;  // decoded cells of the rows in scan
 };
 
 }  // namespace sfc

@@ -65,15 +65,7 @@ PointIndex PointIndex::build(const SpaceFillingCurve& curve,
   SortedKeyColumns columns = sort_curve_key_columns(curve, points, sort_options);
   index.keys_ = std::move(columns.keys);
   index.ids_ = std::move(columns.ids);
-
-  // Gather the points into key order so interval scans stream contiguously.
   const std::uint64_t n = index.keys_.size();
-  index.points_.resize(n);
-  parallel_for_chunks(pool, n, grain, [&](const ChunkRange& range) {
-    for (std::uint64_t i = range.begin; i < range.end; ++i) {
-      index.points_[i] = points[index.ids_[i]];
-    }
-  });
 
   // Sparse directory: the last (max) key of each row block.  With sorted
   // keys this is one strided read of the key column.

@@ -5,11 +5,12 @@
 // serving layer that realizes it for *data* rather than full grids.  Build
 // fuses curve encoding into the sfc/sort radix pipeline (one pass over the
 // input produces sorted (key, payload-id) records), and the index stores the
-// result as columns: the sorted key column, the payload-id column, and the
-// points gathered into key order so scans stream contiguous memory.  A
-// sparse block directory (last key per fixed-size row block) resolves a key
-// interval to its row range by searching the small directory first and only
-// then one block of the key column — the classic "B-tree over curve keys"
+// result as columns: the sorted key column and the payload-id column.  The
+// points themselves are not stored — the curve is a bijection, so a row's
+// point is the cell of its key, decoded on demand.  A sparse block
+// directory (last key per fixed-size row block) resolves a key interval to
+// its row range by searching the small directory first and only then one
+// block of the key column — the classic "B-tree over curve keys"
 // access pattern of the clustering literature (Moon et al.; Haverkort & van
 // Walderveen's bounding-box-quality workloads).
 //
@@ -75,7 +76,7 @@ class PointIndex {
   /// The storage-agnostic view of the owned columns — what engines query.
   /// Valid while this index is alive and unmoved.
   IndexColumnsView view() const {
-    return IndexColumnsView(*curve_, block_rows_, keys_, ids_, points_,
+    return IndexColumnsView(*curve_, block_rows_, keys_, ids_,
                             block_last_key_);
   }
   /// Implicit: a PointIndex is usable wherever a view is expected.
@@ -89,13 +90,12 @@ class PointIndex {
   std::span<const index_t> keys() const { return keys_; }
   /// ids()[r] is the input position (payload id) of row r.
   std::span<const std::uint32_t> ids() const { return ids_; }
-  /// points()[r] is the point of row r (the input point at ids()[r]),
-  /// gathered into key order at build time.
-  std::span<const Point> points() const { return points_; }
-
   index_t key_of_row(std::uint64_t row) const { return keys_[row]; }
   std::uint32_t id_of_row(std::uint64_t row) const { return ids_[row]; }
-  const Point& point_of_row(std::uint64_t row) const { return points_[row]; }
+  /// Row r's point (the input point at ids()[r]), decoded from its key.
+  Point point_of_row(std::uint64_t row) const {
+    return curve_->point_at(keys_[row]);
+  }
 
   std::uint32_t block_rows() const { return block_rows_; }
   std::uint64_t block_count() const { return block_last_key_.size(); }
@@ -120,7 +120,6 @@ class PointIndex {
   std::uint32_t block_rows_ = 256;
   std::vector<index_t> keys_;
   std::vector<std::uint32_t> ids_;
-  std::vector<Point> points_;
   /// Directory: block_last_key_[b] = max key of rows [b*B, (b+1)*B).
   std::vector<index_t> block_last_key_;
 };

@@ -1,5 +1,8 @@
 #include "sfc/index/range_scan.h"
 
+#include <algorithm>
+#include <array>
+
 #include "sfc/obs/metrics.h"
 
 namespace sfc {
@@ -69,9 +72,15 @@ std::vector<std::uint32_t> range_scan_full(const IndexColumnsView& view,
                                            RangeScanStats* stats) {
   std::vector<std::uint32_t> out;
   const std::uint64_t n = view.row_count();
-  for (std::uint64_t row = 0; row < n; ++row) {
-    if (box.contains(view.point_of_row(row))) {
-      out.push_back(view.id_of_row(row));
+  const std::span<const index_t> keys = view.keys();
+  constexpr std::uint64_t kTile = 256;
+  std::array<Point, kTile> tile;
+  for (std::uint64_t at = 0; at < n; at += kTile) {
+    const std::uint64_t rows = std::min(kTile, n - at);
+    view.curve().point_at_batch(keys.subspan(at, rows),
+                                std::span<Point>(tile.data(), rows));
+    for (std::uint64_t i = 0; i < rows; ++i) {
+      if (box.contains(tile[i])) out.push_back(view.id_of_row(at + i));
     }
   }
   if (stats != nullptr) {

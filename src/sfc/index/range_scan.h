@@ -61,8 +61,9 @@ class RangeScanEngine {
   CoverWorkspace ws_;
 };
 
-/// Reference path: tests every row's point against the box.  O(row_count)
-/// always; produces the identical id sequence (row order == key order).
+/// Reference path: decodes every row's key to its cell and tests it against
+/// the box.  O(row_count) always; produces the identical id sequence (row
+/// order == key order).
 std::vector<std::uint32_t> range_scan_full(const IndexColumnsView& view,
                                            const Box& box,
                                            RangeScanStats* stats = nullptr);

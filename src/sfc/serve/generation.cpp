@@ -11,23 +11,18 @@ namespace sfc {
 namespace {
 
 // Column indices of MappedIndex::verify_column_checksums()'s bitmask.
-constexpr std::uint32_t kKeysBit = 1u << 0;
 constexpr std::uint32_t kIdsBit = 1u << 1;
-constexpr std::uint32_t kPointsBit = 1u << 2;
-constexpr std::uint32_t kDirectoryBit = 1u << 3;
 
-/// Semantic verification of one shard's slice: keys sorted, inside the
-/// shard's key range and the universe, points well-formed and in-universe,
-/// and every point re-encoding to its stored key through the generation's
-/// curve — the same checks the strict open runs globally, restricted to the
-/// rows this shard owns so a failure is attributable.  Returns the empty
-/// string when the shard is clean, else a description of the first failure.
+/// Semantic verification of one shard's slice: keys inside the universe and
+/// the shard's key range, and sorted — the key checks the strict open runs
+/// globally, restricted to the rows this shard owns so a failure is
+/// attributable.  (Points are the keys' cells, so there is nothing else to
+/// check per row.)  Returns the empty string when the shard is clean, else a
+/// description of the first failure.
 std::string verify_shard(const IndexColumnsView& shard,
                          const KeyInterval& key_range) {
   const std::span<const index_t> keys = shard.keys();
-  const std::span<const Point> points = shard.points();
-  const Universe& u = shard.curve().universe();
-  const index_t cells = u.cell_count();
+  const index_t cells = shard.curve().universe().cell_count();
   for (std::uint64_t r = 0; r < keys.size(); ++r) {
     if (keys[r] >= cells) {
       return "row " + std::to_string(r) + " key " + std::to_string(keys[r]) +
@@ -40,35 +35,6 @@ std::string verify_shard(const IndexColumnsView& shard,
     }
     if (r > 0 && keys[r - 1] > keys[r]) {
       return "key column not sorted at row " + std::to_string(r);
-    }
-  }
-  constexpr std::uint64_t kVerifyChunk = 4096;
-  std::vector<index_t> recoded(
-      std::min<std::uint64_t>(keys.size(), kVerifyChunk));
-  for (std::uint64_t at = 0; at < keys.size(); at += kVerifyChunk) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kVerifyChunk, keys.size() - at);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const Point& p = points[at + i];
-      if (p.dim() != u.dim()) {
-        return "row " + std::to_string(at + i) + " point dimension " +
-               std::to_string(p.dim()) + " != curve dimension " +
-               std::to_string(u.dim());
-      }
-      if (!u.contains(p)) {
-        return "row " + std::to_string(at + i) +
-               " point outside the curve universe";
-      }
-    }
-    shard.curve().index_of_batch(points.subspan(at, n),
-                                 std::span<index_t>(recoded.data(), n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (recoded[i] != keys[at + i]) {
-        return "row " + std::to_string(at + i) + " key " +
-               std::to_string(keys[at + i]) +
-               " does not re-encode from its point (curve gives " +
-               std::to_string(recoded[i]) + ")";
-      }
     }
   }
   return std::string();

@@ -73,7 +73,6 @@ ShardedIndex::ShardedIndex(IndexColumnsView base, int shard_bits)
     }
     shards_.emplace_back(base_.curve(), block_rows, keys,
                          base_.ids().subspan(row, rows),
-                         base_.points().subspan(row, rows),
                          std::span<const index_t>(dir));
     row = end;
   }

@@ -11,16 +11,17 @@
 #include <utility>
 
 #include "sfc/rng/sampling.h"
+#include "sfc/store/crc32c.h"
 
 namespace sfc {
 
 namespace {
 
-// Format-v1 header geometry, mirrored from docs/index_format.md (and pinned
-// by the store tests): the header is 184 bytes, with its own FNV-1a checksum
-// in the trailing 8 bytes — computed over the header with that field zeroed.
-constexpr std::uint64_t kHeaderBytes = 184;
-constexpr std::uint64_t kHeaderChecksumOffset = 176;
+// Format-v2 header geometry, mirrored from docs/index_format.md (and pinned
+// by the store tests): the header is 144 bytes, with its own CRC32C in the
+// trailing 4 bytes — computed over the header with that field zeroed.
+constexpr std::uint64_t kHeaderBytes = 144;
+constexpr std::uint64_t kHeaderChecksumOffset = 140;
 
 }  // namespace
 
@@ -163,15 +164,22 @@ void FaultHarness::apply(const FaultMutation& mutation) {
       }
       break;
     case FaultKind::kHeaderField: {
+      if (mutation.offset >= kHeaderChecksumOffset) {
+        throw StoreError("fault harness: header-field offset " +
+                         std::to_string(mutation.offset) +
+                         " lies outside the " +
+                         std::to_string(kHeaderChecksumOffset) +
+                         " checksummed header bytes");
+      }
       write_at(mutation.offset, &mutation.value, 1);
       // Recompute the header checksum over the mutated header so the header
       // digest check passes and validation reaches the semantic layers.
       std::uint8_t header[kHeaderBytes];
       std::copy_n(pristine_->data(), kHeaderBytes, header);
       header[mutation.offset] = mutation.value;
-      std::fill_n(header + kHeaderChecksumOffset, sizeof(std::uint64_t),
+      std::fill_n(header + kHeaderChecksumOffset, sizeof(std::uint32_t),
                   std::uint8_t{0});
-      const std::uint64_t digest = fnv1a64(header, kHeaderBytes);
+      const std::uint32_t digest = crc32c(header, kHeaderBytes);
       write_at(kHeaderChecksumOffset, &digest, sizeof(digest));
       break;
     }
@@ -201,7 +209,7 @@ void FaultHarness::restore(const FaultMutation& mutation) {
       write_at(mutation.offset, pristine_->data() + mutation.offset, 1);
       write_at(kHeaderChecksumOffset,
                pristine_->data() + kHeaderChecksumOffset,
-               sizeof(std::uint64_t));
+               sizeof(std::uint32_t));
       break;
     default:
       break;

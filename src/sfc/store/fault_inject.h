@@ -97,7 +97,9 @@ class FaultHarness {
   FaultHarness& operator=(const FaultHarness&) = delete;
 
   /// Applies `mutation` to the scratch file, opens + probes it, restores the
-  /// scratch file to pristine bytes, and returns the classification.
+  /// scratch file to pristine bytes, and returns the classification.  A
+  /// header-field mutation must address a byte before the header checksum
+  /// (draw_fault_mutation only draws those); others throw StoreError.
   FaultOutcome check(const FaultMutation& mutation);
 
   std::uint64_t file_bytes() const { return pristine_->size(); }

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <span>
@@ -17,6 +18,8 @@
 #include "sfc/curves/curve_error.h"
 #include "sfc/obs/metrics.h"
 #include "sfc/obs/span_trace.h"
+#include "sfc/rng/splitmix64.h"
+#include "sfc/store/crc32c.h"
 
 namespace sfc {
 
@@ -45,24 +48,22 @@ StoreMetrics& store_metrics() {
 
 // The mapped columns are served as raw spans, so the format pins the native
 // layout of every element type.  A platform where these do not hold cannot
-// read (or produce) version-1 files; the header's endian tag and point_bytes
-// field turn such mismatches into recoverable StoreErrors.
-static_assert(std::is_trivially_copyable_v<Point>);
-static_assert(std::is_standard_layout_v<Point>);
-static_assert(sizeof(Point) == 36, "on-disk point layout (v1) changed");
-static_assert(sizeof(index_t) == 8 && sizeof(coord_t) == 4);
+// read (or produce) version-2 files; the header's endian tag turns such
+// mismatches into recoverable StoreErrors.
+static_assert(sizeof(index_t) == 8 && sizeof(std::uint32_t) == 4);
 
+// The magic tags the file type; the version field tells formats apart, so a
+// v1 file is refused as "format version 1 unsupported".
 constexpr char kMagic[8] = {'S', 'F', 'C', 'I', 'D', 'X', '0', '1'};
 constexpr std::uint32_t kEndianTag = 0x01020304;
 constexpr std::uint64_t kColumnAlign = 64;
 constexpr std::size_t kFamilyBytes = 24;
 
-enum Column : std::size_t { kKeys = 0, kIds, kPoints, kDirectory, kColumns };
+enum Column : std::size_t { kKeys = 0, kIds, kDirectory, kColumns };
 
 struct ColumnEntry {
-  std::uint64_t offset = 0;    // byte offset from file start, 64-aligned
-  std::uint64_t bytes = 0;     // payload bytes (excluding padding)
-  std::uint64_t checksum = 0;  // fnv1a64 over the payload bytes
+  std::uint64_t offset = 0;  // byte offset from file start, 64-aligned
+  std::uint64_t bytes = 0;   // payload bytes (excluding padding)
 };
 
 struct Header {
@@ -70,39 +71,60 @@ struct Header {
   std::uint32_t version;
   std::uint32_t endian_tag;
   std::uint32_t header_bytes;
-  std::uint32_t point_bytes;
   std::uint32_t curve_dim;
   std::uint32_t curve_side;
+  std::uint32_t block_rows;
   std::uint64_t curve_seed;
   std::uint64_t row_count;
-  std::uint32_t block_rows;
-  std::uint32_t reserved;
   char curve_family[kFamilyBytes];  // NUL-padded canonical family name
   ColumnEntry columns[kColumns];
-  std::uint64_t header_checksum;  // fnv1a64 over the header, this field = 0
+  std::uint32_t column_checksum[kColumns];  // crc32c over each payload
+  std::uint32_t curve_fingerprint;          // see curve_fingerprint()
+  std::uint32_t reserved;                   // 0
+  std::uint32_t header_checksum;  // crc32c over the header, this field = 0
 };
 
 static_assert(std::is_trivially_copyable_v<Header>);
-static_assert(sizeof(Header) == 184, "on-disk header layout (v1) changed");
+static_assert(sizeof(Header) == 144, "on-disk header layout (v2) changed");
 
 std::uint64_t align_up(std::uint64_t value, std::uint64_t align) {
   return (value + align - 1) / align * align;
 }
 
-std::uint64_t header_digest(Header header) {
+std::uint32_t header_digest(Header header) {
   header.header_checksum = 0;
-  return fnv1a64(&header, sizeof(header));
+  return crc32c(&header, sizeof(header));
 }
 
-/// The four column payload sizes of an index with `rows` rows.
-void column_sizes(std::uint64_t rows, std::uint32_t block_rows,
+/// The three column payload sizes of an index with `rows` rows; false when
+/// a size does not fit in 64 bits (a corrupt row count).
+bool column_sizes(std::uint64_t rows, std::uint32_t block_rows,
                   std::uint64_t sizes[kColumns]) {
   const std::uint64_t blocks =
-      block_rows == 0 ? 0 : (rows + block_rows - 1) / block_rows;
-  sizes[kKeys] = rows * sizeof(index_t);
-  sizes[kIds] = rows * sizeof(std::uint32_t);
-  sizes[kPoints] = rows * sizeof(Point);
-  sizes[kDirectory] = blocks * sizeof(index_t);
+      block_rows == 0 ? 0 : rows / block_rows + (rows % block_rows != 0);
+  return !__builtin_mul_overflow(rows, sizeof(index_t), &sizes[kKeys]) &&
+         !__builtin_mul_overflow(rows, sizeof(std::uint32_t), &sizes[kIds]) &&
+         !__builtin_mul_overflow(blocks, sizeof(index_t), &sizes[kDirectory]);
+}
+
+/// CRC32C over the keys of a fixed, seeded probe set of cells under `curve`.
+/// Stored in the header at write and recomputed from the reconstructed curve
+/// at open: a family, side or seed that names a different curve changes the
+/// keys, so the fingerprint ties the persisted curve identity to the data in
+/// O(1), without reading any row.
+std::uint32_t curve_fingerprint(const SpaceFillingCurve& curve) {
+  constexpr std::size_t kProbes = 64;
+  const Universe& u = curve.universe();
+  std::array<index_t, kProbes> keys{};
+  SplitMix64 probes(0x5346434650524f42ULL);  // fixed probe-set seed
+  for (index_t& key : keys) {
+    Point cell = Point::zero(u.dim());
+    for (int i = 0; i < u.dim(); ++i) {
+      cell[i] = static_cast<coord_t>(probes.next() % u.side());
+    }
+    key = curve.index_of(cell);
+  }
+  return crc32c(keys.data(), sizeof(keys));
 }
 
 }  // namespace
@@ -130,17 +152,6 @@ void maybe_kill() {
 
 }  // namespace
 
-std::uint64_t fnv1a64(const void* data, std::size_t bytes,
-                      std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 StoreIoError::StoreIoError(const std::string& sys_call,
                            const std::string& path, int errno_value)
     : StoreError("index io: " + sys_call + "('" + path +
@@ -165,13 +176,26 @@ void write_index_file(const std::string& path, const PointIndex& index,
                      "' exceeds " + std::to_string(kFamilyBytes - 1) +
                      " bytes");
   }
+  // The fingerprint is taken from the curve the keys were made with; the
+  // descriptor must reconstruct that same curve, or no open would accept
+  // the file.
+  const std::uint32_t fingerprint = curve_fingerprint(index.curve());
+  try {
+    if (curve_fingerprint(*make_curve(descriptor)) != fingerprint) {
+      throw StoreError("index write: descriptor '" + descriptor.family +
+                       "' (seed " + std::to_string(descriptor.seed) +
+                       ") does not name the index's curve");
+    }
+  } catch (const CurveArgumentError& error) {
+    throw StoreError(std::string("index write: curve descriptor rejected: ") +
+                     error.what());
+  }
 
   Header header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kIndexFormatVersion;
   header.endian_tag = kEndianTag;
   header.header_bytes = sizeof(Header);
-  header.point_bytes = sizeof(Point);
   header.curve_dim = static_cast<std::uint32_t>(descriptor.dim);
   header.curve_side = descriptor.side;
   header.curve_seed = descriptor.seed;
@@ -179,10 +203,10 @@ void write_index_file(const std::string& path, const PointIndex& index,
   header.block_rows = index.block_rows();
   std::memcpy(header.curve_family, descriptor.family.c_str(),
               descriptor.family.size() + 1);
+  header.curve_fingerprint = fingerprint;
 
-  const void* payloads[kColumns] = {
-      index.keys().data(), index.ids().data(), index.points().data(),
-      index.view().block_last_key().data()};
+  const void* payloads[kColumns] = {index.keys().data(), index.ids().data(),
+                                    index.view().block_last_key().data()};
   std::uint64_t sizes[kColumns];
   column_sizes(index.row_count(), index.block_rows(), sizes);
 
@@ -190,7 +214,7 @@ void write_index_file(const std::string& path, const PointIndex& index,
   for (std::size_t c = 0; c < kColumns; ++c) {
     header.columns[c].offset = offset;
     header.columns[c].bytes = sizes[c];
-    header.columns[c].checksum = fnv1a64(payloads[c], sizes[c]);
+    header.column_checksum[c] = crc32c(payloads[c], sizes[c]);
     offset = align_up(offset + sizes[c], kColumnAlign);
   }
   header.header_checksum = header_digest(header);
@@ -377,20 +401,23 @@ MappedIndex MappedIndex::open(const std::string& path,
     fail("header size " + std::to_string(header.header_bytes) +
          " != expected " + std::to_string(sizeof(Header)));
   }
-  if (header.point_bytes != sizeof(Point)) {
-    fail("point layout " + std::to_string(header.point_bytes) +
-         " bytes != this build's " + std::to_string(sizeof(Point)));
-  }
   if (header_digest(header) != header.header_checksum) {
     fail("header checksum mismatch — corrupt or truncated header");
   }
+  if (header.reserved != 0) fail("reserved header field is not zero");
   if (header.block_rows == 0) fail("block_rows must be >= 1");
   if (header.curve_family[kFamilyBytes - 1] != '\0') {
     fail("curve family name is not NUL-terminated");
   }
 
   std::uint64_t sizes[kColumns];
-  column_sizes(header.row_count, header.block_rows, sizes);
+  if (!column_sizes(header.row_count, header.block_rows, sizes)) {
+    fail("row count " + std::to_string(header.row_count) +
+         " overflows the column sizes");
+  }
+  // Columns lie in order after the header, each inside the file: a view
+  // over them never reads past the mapping, verified or not.
+  std::uint64_t column_floor = sizeof(Header);
   for (std::size_t c = 0; c < kColumns; ++c) {
     const ColumnEntry& column = header.columns[c];
     if (column.bytes != sizes[c]) {
@@ -399,23 +426,25 @@ MappedIndex MappedIndex::open(const std::string& path,
            std::to_string(sizes[c]) + " for " +
            std::to_string(header.row_count) + " rows");
     }
-    if (column.offset % alignof(Point) != 0 ||
-        column.offset % alignof(index_t) != 0) {
+    if (column.offset % alignof(index_t) != 0) {
       fail("column " + std::to_string(c) + " offset " +
            std::to_string(column.offset) + " is misaligned");
     }
-    if (column.offset > file_bytes || column.bytes > file_bytes - column.offset) {
+    if (column.offset < column_floor || column.offset > file_bytes ||
+        column.bytes > file_bytes - column.offset) {
       fail("column " + std::to_string(c) + " [" +
            std::to_string(column.offset) + ", +" +
-           std::to_string(column.bytes) + ") exceeds the " +
-           std::to_string(file_bytes) + "-byte file — truncated?");
+           std::to_string(column.bytes) + ") overlaps its neighbours or "
+           "exceeds the " + std::to_string(file_bytes) +
+           "-byte file — truncated?");
     }
+    column_floor = column.offset + column.bytes;
   }
 
   for (std::size_t c = 0; c < kColumns; ++c) {
     mapped.column_offset_[c] = header.columns[c].offset;
     mapped.column_bytes_[c] = header.columns[c].bytes;
-    mapped.column_checksum_[c] = header.columns[c].checksum;
+    mapped.column_checksum_[c] = header.column_checksum[c];
   }
 
   mapped.descriptor_.family = header.curve_family;
@@ -427,14 +456,19 @@ MappedIndex MappedIndex::open(const std::string& path,
   } catch (const CurveArgumentError& error) {
     fail(std::string("persisted curve descriptor rejected: ") + error.what());
   }
+  // O(1) and always on: a family, side or seed that reconstructs a
+  // different curve than the keys were made with is refused here, even when
+  // the header checksum was recomputed after the edit.
+  if (curve_fingerprint(*mapped.curve_) != header.curve_fingerprint) {
+    fail("curve fingerprint mismatch — the persisted descriptor does not "
+         "reconstruct the curve the keys were made with");
+  }
 
   const auto* base = static_cast<const unsigned char*>(map);
   const auto* keys = reinterpret_cast<const index_t*>(
       base + header.columns[kKeys].offset);
   const auto* ids = reinterpret_cast<const std::uint32_t*>(
       base + header.columns[kIds].offset);
-  const auto* points = reinterpret_cast<const Point*>(
-      base + header.columns[kPoints].offset);
   const auto* directory = reinterpret_cast<const index_t*>(
       base + header.columns[kDirectory].offset);
   const std::uint64_t rows = header.row_count;
@@ -442,20 +476,21 @@ MappedIndex MappedIndex::open(const std::string& path,
 
   const double verify_start_us = trace_now_us();
   if (options.verify) {
+    const std::uint32_t mismatched = mapped.verify_column_checksums();
     for (std::size_t c = 0; c < kColumns; ++c) {
-      if (fnv1a64(base + header.columns[c].offset, header.columns[c].bytes) !=
-          header.columns[c].checksum) {
+      if ((mismatched >> c) & 1u) {
         fail("column " + std::to_string(c) +
              " checksum mismatch — corrupt data");
       }
     }
     const index_t cells = mapped.curve_->universe().cell_count();
-    for (std::uint64_t r = 0; r < rows; ++r) {
-      if (keys[r] >= cells) {
-        fail("row " + std::to_string(r) + " key " + std::to_string(keys[r]) +
-             " outside the " + std::to_string(cells) + "-cell universe");
-      }
-      if (r > 0 && keys[r - 1] > keys[r]) {
+    if (rows > 0 && keys[rows - 1] >= cells) {
+      fail("row " + std::to_string(rows - 1) + " key " +
+           std::to_string(keys[rows - 1]) + " outside the " +
+           std::to_string(cells) + "-cell universe");
+    }
+    for (std::uint64_t r = 1; r < rows; ++r) {
+      if (keys[r - 1] > keys[r]) {
         fail("key column not sorted at row " + std::to_string(r));
       }
     }
@@ -467,49 +502,11 @@ MappedIndex MappedIndex::open(const std::string& path,
              " disagrees with the key column");
       }
     }
-    // Key<->point agreement: re-encode every stored point through the
-    // reconstructed curve and require the stored key back.  This is the check
-    // that ties the persisted curve identity to the data — a tampered
-    // family/seed/universe (even with a dutifully recomputed checksum) cannot
-    // pass it, so a validated file can never serve silently wrong answers.
-    // Dimension and containment are checked first so index_of_batch only ever
-    // sees in-universe cells.
-    const Universe& u = mapped.curve_->universe();
-    constexpr std::uint64_t kVerifyChunk = 4096;
-    std::vector<index_t> recoded(std::min<std::uint64_t>(rows, kVerifyChunk));
-    for (std::uint64_t at = 0; at < rows; at += kVerifyChunk) {
-      const std::uint64_t n = std::min<std::uint64_t>(kVerifyChunk, rows - at);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const Point& p = points[at + i];
-        if (p.dim() != u.dim()) {
-          fail("row " + std::to_string(at + i) + " point dimension " +
-               std::to_string(p.dim()) + " != curve dimension " +
-               std::to_string(u.dim()));
-        }
-        if (!u.contains(p)) {
-          fail("row " + std::to_string(at + i) +
-               " point outside the curve universe");
-        }
-      }
-      mapped.curve_->index_of_batch(
-          std::span<const Point>(points + at, n),
-          std::span<index_t>(recoded.data(), n));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        if (recoded[i] != keys[at + i]) {
-          fail("row " + std::to_string(at + i) + " key " +
-               std::to_string(keys[at + i]) +
-               " does not re-encode from its point (curve gives " +
-               std::to_string(recoded[i]) +
-               ") — data and curve descriptor disagree");
-        }
-      }
-    }
   }
 
   mapped.view_ = IndexColumnsView(
       *mapped.curve_, header.block_rows, std::span<const index_t>(keys, rows),
       std::span<const std::uint32_t>(ids, rows),
-      std::span<const Point>(points, rows),
       std::span<const index_t>(directory, blocks));
   if (obs_enabled()) {
     const double end_us = trace_now_us();
@@ -538,7 +535,7 @@ std::uint32_t MappedIndex::verify_column_checksums() const {
   const auto* base = static_cast<const unsigned char*>(map_);
   std::uint32_t mask = 0;
   for (std::size_t c = 0; c < kColumns; ++c) {
-    if (fnv1a64(base + column_offset_[c], column_bytes_[c]) !=
+    if (crc32c(base + column_offset_[c], column_bytes_[c]) !=
         column_checksum_[c]) {
       mask |= 1u << c;
     }

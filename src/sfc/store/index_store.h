@@ -2,21 +2,23 @@
 //
 // The north-star serving story is "build once, serve many processes": a
 // PointIndex's columns are already flat arrays, so the on-disk format is a
-// fixed header (magic, version, curve descriptor, universe, row count,
-// column table with per-column FNV-1a checksums) followed by the four
-// columns, each 64-byte aligned — see docs/index_format.md for the byte-level
-// layout.  write_index_file streams a built index out; MappedIndex mmaps a
-// file read-only, validates everything (magic, version, endianness, header
-// checksum, column bounds, per-column checksums, key-order and directory
-// consistency), reconstructs the exact curve from the persisted
-// CurveDescriptor, and exposes the same IndexColumnsView the in-memory index
-// exposes — queries through either storage are bit-identical by
-// construction, because the engines only ever see the view.
+// fixed header (magic, version, curve descriptor, universe, row count, curve
+// fingerprint, column table with per-column CRC32C checksums) followed by
+// the three columns — keys, ids, block directory — each 64-byte aligned; see
+// docs/index_format.md for the byte-level layout.  No points are stored: the
+// curve is a bijection, so a row's point is curve.point_at(key).
+// write_index_file streams a built index out; MappedIndex mmaps a file
+// read-only, validates it (magic, version, endianness, header checksum,
+// column bounds, curve fingerprint, per-column checksums, key range and
+// order, directory consistency), reconstructs the exact curve from the
+// persisted CurveDescriptor, and exposes the same IndexColumnsView the
+// in-memory index exposes — queries through either storage are
+// bit-identical by construction, because the engines only ever see the view.
 //
 // The format is *not* an interchange format: it fixes the native
-// little-endian column layout (including Point's in-memory layout) so that
-// serving can map columns without any translation, and it refuses to open
-// files whose header disagrees with the running build's layout constants.
+// little-endian column layout so that serving can map columns without any
+// translation, and it refuses to open files whose header disagrees with the
+// running build's layout constants.
 #pragma once
 
 #include <atomic>
@@ -59,19 +61,16 @@ class StoreIoError : public StoreError {
   int errno_value_;
 };
 
-/// Current on-disk format version (header field `version`).
-inline constexpr std::uint32_t kIndexFormatVersion = 1;
-
-/// 64-bit FNV-1a over a byte range — the format's checksum primitive.
-/// Chainable: pass the previous digest as `seed` to extend.
-std::uint64_t fnv1a64(const void* data, std::size_t bytes,
-                      std::uint64_t seed = 0xcbf29ce484222325ULL);
+/// Current on-disk format version (header field `version`).  This build
+/// reads version 2 only.
+inline constexpr std::uint32_t kIndexFormatVersion = 2;
 
 /// Serializes `index` to `path` (overwriting), persisting `descriptor` as
-/// the curve identity.  The descriptor's universe must match the index's
-/// curve (throws StoreError otherwise); it is what MappedIndex::open
+/// the curve identity.  The descriptor is what MappedIndex::open
 /// reconstructs the curve from, so it must name the curve the index was
-/// built with — "hilbert d=2 side=1024 seed=1" etc.
+/// built with — "hilbert d=2 side=1024 seed=1" etc.; a descriptor whose
+/// universe or curve fingerprint differs from the index's curve throws
+/// StoreError.
 ///
 /// Crash-safe: the file is streamed to `path + ".tmp"`, fsync'd, and
 /// atomically renamed over `path` (then the parent directory is fsync'd), so
@@ -83,14 +82,12 @@ void write_index_file(const std::string& path, const PointIndex& index,
                       const CurveDescriptor& descriptor);
 
 struct MappedIndexOptions {
-  /// Verify per-column checksums, key-column sortedness, block-directory
-  /// consistency, and key<->point agreement (re-encoding every stored point
-  /// through the reconstructed curve must reproduce its stored key — this is
-  /// what ties the persisted curve identity to the data, so a tampered
-  /// family/seed/universe cannot serve silently wrong answers) at open, one
-  /// streaming pass over the file.  Serving processes that reopen a file
-  /// they just validated may switch this off; header and bounds validation
-  /// always runs.
+  /// Verify per-column checksums, key range and sortedness, and
+  /// block-directory consistency at open: one streaming pass over the keys,
+  /// ids and directory.  Serving processes that reopen a file they just
+  /// validated may switch this off.  Header, bounds and curve-fingerprint
+  /// validation (which ties the persisted family/side/seed to the keys, so a
+  /// tampered descriptor cannot serve silently wrong answers) always run.
   bool verify = true;
   /// Hold an advisory shared lock (flock LOCK_SH) on the file for the
   /// lifetime of the mapping.  Cooperating writers must never truncate or
@@ -143,15 +140,15 @@ class MappedIndex {
   /// The path this mapping was opened from.
   const std::string& path() const { return path_; }
 
-  /// Re-runs the per-column FNV-1a checksums against the header's recorded
+  /// Re-runs the per-column CRC32C checksums against the header's recorded
   /// values and returns a bitmask of mismatching columns (bit 0 keys, bit 1
-  /// ids, bit 2 points, bit 3 directory; 0 = all clean).  This is the
-  /// localization primitive degraded-mode open uses to decide which shards to
-  /// mark dead instead of refusing the whole file.
+  /// ids, bit 2 directory; 0 = all clean).  This is the localization
+  /// primitive degraded-mode open uses to decide which shards to mark dead
+  /// instead of refusing the whole file.
   std::uint32_t verify_column_checksums() const;
 
-  /// Byte offset / length of column `c` (0 keys, 1 ids, 2 points,
-  /// 3 directory) within the mapped file, as recorded in the header.
+  /// Byte offset / length of column `c` (0 keys, 1 ids, 2 directory) within
+  /// the mapped file, as recorded in the header.
   std::uint64_t column_offset(int c) const { return column_offset_[c]; }
   std::uint64_t column_bytes(int c) const { return column_bytes_[c]; }
 
@@ -162,9 +159,9 @@ class MappedIndex {
   std::size_t map_bytes_ = 0;
   int fd_ = -1;  ///< kept open for the mapping's lifetime (holds the flock)
   std::string path_;
-  std::uint64_t column_offset_[4] = {0, 0, 0, 0};
-  std::uint64_t column_bytes_[4] = {0, 0, 0, 0};
-  std::uint64_t column_checksum_[4] = {0, 0, 0, 0};
+  std::uint64_t column_offset_[3] = {0, 0, 0};
+  std::uint64_t column_bytes_[3] = {0, 0, 0};
+  std::uint32_t column_checksum_[3] = {0, 0, 0};
   CurvePtr curve_;
   CurveDescriptor descriptor_;
   IndexColumnsView view_;

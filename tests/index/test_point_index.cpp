@@ -1,6 +1,6 @@
 // Build invariants of the SFC point index: sorted key column, stable
-// payload-id permutation, gathered point column, and block-directory row
-// resolution — all bit-identical across pools and grains.
+// payload-id permutation, points decoded from the keys, and block-directory
+// row resolution — all bit-identical across pools and grains.
 #include "sfc/index/point_index.h"
 
 #include <gtest/gtest.h>

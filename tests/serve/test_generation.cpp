@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sfc/curves/curve_factory.h"
@@ -70,27 +71,29 @@ Box probe_box(int i) {
   return Box(Point{lo, lo}, Point{lo + 15, lo + 15});
 }
 
-/// Flips the low bit of the first coordinate of global row `row` in the
-/// points column of the file at `path` (coords < side stay < side, so the
-/// point stays in-universe but re-encodes to a different key — localizable
-/// to the shard owning the row).
-void corrupt_point_row(const std::string& path, std::uint64_t row) {
+/// Swaps the keys of global rows `row` and `row + 1` in the key column of
+/// the file at `path`, so the column is no longer sorted there.  When both
+/// rows lie inside one shard, both keys stay inside its key range and the
+/// shard boundaries are unchanged — the corruption is localizable to that
+/// shard.
+void corrupt_key_order(const std::string& path, std::uint64_t row) {
   MappedIndexOptions lazy;
   lazy.verify = false;
   lazy.lock = false;
   std::uint64_t offset = 0;
   {
     const MappedIndex mapped = MappedIndex::open(path, lazy);
-    offset = mapped.column_offset(2) + row * sizeof(Point);
+    offset = mapped.column_offset(0) + row * sizeof(index_t);
   }
   std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
   ASSERT_TRUE(file.good());
+  index_t pair[2] = {0, 0};
   file.seekg(static_cast<std::streamoff>(offset));
-  char byte = 0;
-  file.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x01);
+  file.read(reinterpret_cast<char*>(pair), sizeof(pair));
+  ASSERT_LT(pair[0], pair[1]);
+  std::swap(pair[0], pair[1]);
   file.seekp(static_cast<std::streamoff>(offset));
-  file.write(&byte, 1);
+  file.write(reinterpret_cast<const char*>(pair), sizeof(pair));
   ASSERT_TRUE(file.good());
 }
 
@@ -223,16 +226,23 @@ TEST(Generation, DegradedModeRoutesAroundDeadShardsForEveryFamily) {
     const std::string path = temp_path("degraded_" + family);
     write_index_file(path, a.index, a.descriptor);
 
-    // Kill the shard owning the middle row by corrupting one of its points.
+    // Kill the shard owning the middle row by putting two of its keys out
+    // of order, away from the shard's boundaries.
     constexpr int kShardBits = 2;
     const ShardedIndex reference(a.index.view(), kShardBits);
-    const std::uint64_t victim_row = a.index.row_count() / 2;
+    const std::uint64_t middle_row = a.index.row_count() / 2;
     std::size_t dead = 0;
     while (dead + 1 < reference.shard_count() &&
-           reference.shard_row_begin(dead + 1) <= victim_row) {
+           reference.shard_row_begin(dead + 1) <= middle_row) {
       ++dead;
     }
-    corrupt_point_row(path, victim_row);
+    const std::uint64_t shard_rows = reference.shard(dead).row_count();
+    std::uint64_t victim_row = reference.shard_row_begin(dead) + shard_rows / 2;
+    const auto keys = a.index.keys();
+    while (keys[victim_row] == keys[victim_row + 1]) ++victim_row;
+    ASSERT_LT(victim_row + 1,
+              reference.shard_row_begin(dead) + shard_rows) << family;
+    corrupt_key_order(path, victim_row);
 
     // Strict open refuses; degraded open marks exactly that shard dead.
     EXPECT_THROW((void)IndexGeneration::open(path, kShardBits, 0, false),

@@ -77,7 +77,7 @@ TEST(FaultInject, EveryBitFlipRejectedOrBenign) {
   // The vast majority of bits are load-bearing; padding accounts for the
   // benign remainder.
   EXPECT_GT(rejected, benign);
-  EXPECT_GT(rejected, 8 * 184u);  // at least every header bit rejects
+  EXPECT_GT(rejected, 8 * 144u);  // at least every header bit rejects
 }
 
 TEST(FaultInject, EveryTruncationRejected) {
@@ -119,12 +119,13 @@ TEST(FaultInject, EveryTruncateWhileMappedRejectedOrBenign) {
 TEST(FaultInject, HeaderFieldStompsWithFixedChecksumNeverServeWrongAnswers) {
   // Stomp every pre-checksum header byte with several adversarial values,
   // recomputing the checksum each time — this reaches the semantic
-  // validators (curve reconstruction, bounds, key<->point agreement), the
-  // layer where a wrong answer could otherwise slip through.
+  // validators (curve reconstruction, bounds, curve fingerprint), the layer
+  // where a wrong answer could otherwise slip through.  The v2 header
+  // checksum sits at byte 140.
   const std::string path = write_sample("hdr.sfcidx", "hilbert", 60);
   const auto pristine = load_bytes(path);
   FaultHarness harness(pristine, temp_path("hdr.scratch"), 4, 99);
-  for (std::uint64_t offset = 0; offset < 176; ++offset) {
+  for (std::uint64_t offset = 0; offset < 140; ++offset) {
     for (const std::uint8_t value :
          {std::uint8_t{0x00}, std::uint8_t{0x01}, std::uint8_t{0x7f},
           std::uint8_t{0xff}}) {
@@ -182,7 +183,7 @@ TEST(FaultInject, DrawCoversEveryKindAndStaysInBounds) {
         EXPECT_LT(m.truncate_to, 1000u);
         break;
       case FaultKind::kHeaderField:
-        EXPECT_LT(m.offset, 176u);
+        EXPECT_LT(m.offset, 140u);
         break;
       default:
         FAIL();

@@ -18,6 +18,7 @@
 #include "sfc/index/knn.h"
 #include "sfc/index/range_scan.h"
 #include "sfc/rng/sampling.h"
+#include "sfc/store/crc32c.h"
 
 namespace sfc {
 namespace {
@@ -66,20 +67,24 @@ WrittenIndex write_sample(const std::string& name) {
                       std::move(index), path};
 }
 
-// --- byte-level header layout, mirrored from index_store.cpp (v1) ---------
+// --- byte-level header layout, mirrored from index_store.cpp (v2) ---------
 constexpr std::size_t kVersionOffset = 8;
-constexpr std::size_t kCurveSideOffset = 28;
-constexpr std::size_t kHeaderChecksumOffset = 176;
-constexpr std::size_t kHeaderBytes = 184;
+constexpr std::size_t kCurveSideOffset = 24;
+constexpr std::size_t kCurveSeedOffset = 32;
+constexpr std::size_t kFamilyOffset = 48;
+constexpr std::size_t kFamilyBytes = 24;
+constexpr std::size_t kColumnChecksumOffset = 120;  // u32 per column
+constexpr std::size_t kHeaderChecksumOffset = 140;
+constexpr std::size_t kHeaderBytes = 144;
 
 /// Recomputes the header checksum after a deliberate header edit, so tests
 /// reach the validation step *behind* the checksum.
 void fix_header_checksum(std::vector<char>& bytes) {
   ASSERT_GE(bytes.size(), kHeaderBytes);
-  std::memset(bytes.data() + kHeaderChecksumOffset, 0, sizeof(std::uint64_t));
-  const std::uint64_t digest = fnv1a64(bytes.data(), kHeaderBytes);
+  std::memset(bytes.data() + kHeaderChecksumOffset, 0, sizeof(std::uint32_t));
+  const std::uint32_t digest = crc32c(bytes.data(), kHeaderBytes);
   std::memcpy(bytes.data() + kHeaderChecksumOffset, &digest,
-              sizeof(std::uint64_t));
+              sizeof(std::uint32_t));
 }
 
 TEST(IndexStore, RoundTripPreservesColumnsExactly) {
@@ -279,17 +284,16 @@ TEST(IndexStore, RejectsOutOfUniverseKeyUnderVerify) {
   const WrittenIndex w = write_sample("badkey.sfcidx");
   std::vector<char> bytes = read_bytes(w.path);
   // Column 0 (keys) starts at the first 64-byte boundary after the header.
-  const std::size_t keys_offset = 192;  // align_up(184, 64)
+  const std::size_t keys_offset = 192;  // align_up(144, 64)
   const index_t huge = ~index_t{0} >> 1;
   std::memcpy(bytes.data() + keys_offset +
                   (w.index.row_count() - 1) * sizeof(index_t),
               &huge, sizeof(huge));
   // Also fix that column's checksum so the key-range check is what fires.
-  const std::uint64_t digest =
-      fnv1a64(bytes.data() + keys_offset,
-              w.index.row_count() * sizeof(index_t));
-  const std::size_t keys_checksum_offset = 80 + 16;  // columns[0].checksum
-  std::memcpy(bytes.data() + keys_checksum_offset, &digest, sizeof(digest));
+  const std::uint32_t digest =
+      crc32c(bytes.data() + keys_offset,
+             w.index.row_count() * sizeof(index_t));
+  std::memcpy(bytes.data() + kColumnChecksumOffset, &digest, sizeof(digest));
   fix_header_checksum(bytes);
   write_bytes(w.path, bytes);
   try {
@@ -309,13 +313,6 @@ TEST(IndexStore, MoveTransfersTheMapping) {
   EXPECT_EQ(b.row_count(), rows);
   KnnEngine engine(b.view());
   EXPECT_EQ(engine.query(Point{3, 3}, 3).size(), 3u);
-}
-
-TEST(IndexStore, Fnv1a64MatchesReferenceVectors) {
-  // Standard FNV-1a test vectors.
-  EXPECT_EQ(fnv1a64("", 0), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
-  EXPECT_EQ(fnv1a64("foobar", 6), 0x85944171f73967e8ULL);
 }
 
 // --- crash safety of the write path ---------------------------------------
@@ -397,56 +394,81 @@ TEST(IndexStore, OverwriteIsAtomic) {
 TEST(IndexStore, RejectsSwappedCurveFamilyWithFixedChecksum) {
   // The silent-wrong-answer attack: rewrite the persisted family
   // ("hilbert" -> "z"), dutifully recompute the header checksum, leave all
-  // data intact.  Every structural check passes; only the key<->point
-  // re-encoding pass can notice, because z and hilbert order the same cells
-  // differently.
+  // data intact.  Every structural check passes; the curve fingerprint —
+  // the keys of a fixed probe set under the reconstructed curve — differs,
+  // because z and hilbert order the same cells differently.
   const WrittenIndex w = write_sample("famswap.sfcidx");
   std::vector<char> bytes = read_bytes(w.path);
-  constexpr std::size_t kFamilyOffset = 56;
-  constexpr std::size_t kFamilyBytes = 24;
   std::memset(bytes.data() + kFamilyOffset, 0, kFamilyBytes);
   std::memcpy(bytes.data() + kFamilyOffset, "z", 1);
   fix_header_checksum(bytes);
   write_bytes(w.path, bytes);
-  try {
-    MappedIndex::open(w.path);
-    FAIL() << "expected StoreError";
-  } catch (const StoreError& error) {
-    EXPECT_NE(std::string(error.what()).find("re-encode"), std::string::npos)
-        << error.what();
+  for (const bool verify : {true, false}) {
+    try {
+      MappedIndex::open(w.path, {.verify = verify});
+      FAIL() << "expected StoreError (verify=" << verify << ")";
+    } catch (const StoreError& error) {
+      EXPECT_NE(std::string(error.what()).find("fingerprint"),
+                std::string::npos)
+          << error.what();
+    }
   }
-  // With verification off the swap is NOT caught — which is exactly why
-  // verify defaults to on and serving only disables it for files it has
-  // already validated.
-  EXPECT_NO_THROW(MappedIndex::open(w.path, {.verify = false}));
 }
 
-TEST(IndexStore, RejectsTamperedPointWithFixedColumnChecksum) {
-  // Stomp one stored point coordinate and fix up the points-column checksum:
-  // structural validation passes, the key<->point pass must object.
-  const WrittenIndex w = write_sample("pointswap.sfcidx");
-  std::vector<char> bytes = read_bytes(w.path);
-  constexpr std::size_t kColumnTableOffset = 80;
-  constexpr std::size_t kColumnEntryBytes = 24;
-  const std::size_t points_entry = kColumnTableOffset + 2 * kColumnEntryBytes;
-  std::uint64_t points_offset = 0, points_bytes = 0;
-  std::memcpy(&points_offset, bytes.data() + points_entry, 8);
-  std::memcpy(&points_bytes, bytes.data() + points_entry + 8, 8);
-  ASSERT_GT(points_bytes, 0u);
-  // Flip the low bit of the first coordinate of row 0's point.
-  bytes[points_offset] = static_cast<char>(bytes[points_offset] ^ 1);
-  const std::uint64_t digest =
-      fnv1a64(bytes.data() + points_offset, points_bytes);
-  std::memcpy(bytes.data() + points_entry + 16, &digest, 8);
+TEST(IndexStore, RejectsTamperedSeedWithFixedChecksum) {
+  // The seeded family reconstructs a different permutation from seed 6 than
+  // the keys were made with under seed 5; the fingerprint must object even
+  // though the header checksum was recomputed after the edit.
+  CurveDescriptor descriptor;
+  descriptor.family = "random";
+  descriptor.dim = 2;
+  descriptor.side = 32;
+  descriptor.seed = 5;
+  const CurvePtr curve = make_curve(descriptor);
+  Xoshiro256 rng(3);
+  std::vector<Point> points;
+  for (int i = 0; i < 200; ++i) {
+    points.push_back(random_cell(curve->universe(), rng));
+  }
+  const PointIndex index = PointIndex::build(*curve, points);
+  const std::string path = temp_path("seedswap.sfcidx");
+  write_index_file(path, index, descriptor);
+  std::vector<char> bytes = read_bytes(path);
+  const std::uint64_t other_seed = 6;
+  std::memcpy(bytes.data() + kCurveSeedOffset, &other_seed,
+              sizeof(other_seed));
   fix_header_checksum(bytes);
-  write_bytes(w.path, bytes);
+  write_bytes(path, bytes);
   try {
-    MappedIndex::open(w.path);
+    MappedIndex::open(path);
     FAIL() << "expected StoreError";
   } catch (const StoreError& error) {
-    EXPECT_NE(std::string(error.what()).find("re-encode"), std::string::npos)
+    EXPECT_NE(std::string(error.what()).find("fingerprint"), std::string::npos)
         << error.what();
   }
+}
+
+TEST(IndexStore, WriteRejectsDescriptorNamingAnotherCurve) {
+  // Same universe, different family: the descriptor would reconstruct a
+  // curve the keys were not made with, so the write itself refuses.
+  const WrittenIndex w = write_sample("othercurve.sfcidx");
+  CurveDescriptor wrong = w.descriptor;
+  wrong.family = "z";
+  EXPECT_THROW(
+      write_index_file(temp_path("othercurve2.sfcidx"), w.index, wrong),
+      StoreError);
+}
+
+TEST(IndexStore, FileHoldsNoPointsColumn) {
+  // v2 stores keys (8 B), ids (4 B) and the directory (8 B per block):
+  // the file is the header plus 12 bytes per row, up to alignment padding.
+  const WrittenIndex w = write_sample("size.sfcidx");
+  const MappedIndex mapped = MappedIndex::open(w.path);
+  const std::uint64_t rows = w.index.row_count();
+  const std::uint64_t payload =
+      rows * 12 + w.index.block_count() * sizeof(index_t);
+  EXPECT_GE(mapped.file_bytes(), kHeaderBytes + payload);
+  EXPECT_LE(mapped.file_bytes(), kHeaderBytes + payload + 3 * 64);
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "sfc/index/point_index.h"
 #include "sfc/index/range_scan.h"
 #include "sfc/rng/sampling.h"
+#include "sfc/store/crc32c.h"
 #include "sfc/store/index_store.h"
 
 namespace sfc {
@@ -146,30 +149,82 @@ TEST(StoreHardening, RenameOverLivePathKeepsOldMappingServing) {
 TEST(StoreHardening, VerifyColumnChecksumsLocalizesCorruption) {
   const Dataset a = make_dataset(25);
   const std::string path = temp_path("column_mask");
-  write_index_file(path, a.index, a.descriptor);
-
   MappedIndexOptions lazy;
   lazy.verify = false;
-  std::uint64_t points_offset = 0;
-  {
-    const MappedIndex clean = MappedIndex::open(path, lazy);
-    EXPECT_EQ(clean.verify_column_checksums(), 0u);
-    points_offset = clean.column_offset(2);
+  // Stomp one byte in each column in turn (0 keys, 1 ids, 2 directory);
+  // only that column's bit may trip.
+  for (int column = 0; column < 3; ++column) {
+    write_index_file(path, a.index, a.descriptor);
+    std::uint64_t offset = 0;
+    {
+      const MappedIndex clean = MappedIndex::open(path, lazy);
+      EXPECT_EQ(clean.verify_column_checksums(), 0u);
+      offset = clean.column_offset(column);
+    }
+    {
+      std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(file.good());
+      file.seekg(static_cast<std::streamoff>(offset));
+      char byte = 0;
+      file.read(&byte, 1);
+      byte = static_cast<char>(byte ^ 0x40);
+      file.seekp(static_cast<std::streamoff>(offset));
+      file.write(&byte, 1);
+      ASSERT_TRUE(file.good());
+    }
+    const MappedIndex tampered = MappedIndex::open(path, lazy);
+    EXPECT_EQ(tampered.verify_column_checksums(), 1u << column)
+        << "column " << column;
   }
-  // Stomp one byte in the points column; only bit 2 may trip.
+}
+
+TEST(StoreHardening, OverflowingRowCountIsRejectedWithoutVerify) {
+  // Regression: column sizes are row_count times the element size.  With
+  // row_count = 2^62 every product wraps to 0, so a header claiming 2^62
+  // rows in zero-byte columns (checksum recomputed) used to pass the
+  // structural checks and hand out a 2^62-row view over a small mapping.
+  const Dataset a = make_dataset(28);
+  const std::string path = temp_path("overflow");
+  write_index_file(path, a.index, a.descriptor);
+  std::vector<char> bytes;
   {
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(file.good());
-    file.seekg(static_cast<std::streamoff>(points_offset));
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x40);
-    file.seekp(static_cast<std::streamoff>(points_offset));
-    file.write(&byte, 1);
-    ASSERT_TRUE(file.good());
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
   }
-  const MappedIndex tampered = MappedIndex::open(path, lazy);
-  EXPECT_EQ(tampered.verify_column_checksums(), 1u << 2);
+  // v2 header offsets (docs/index_format.md).
+  constexpr std::size_t kBlockRowsOffset = 28;
+  constexpr std::size_t kRowCountOffset = 40;
+  constexpr std::size_t kColumnTableOffset = 72;  // {offset, bytes} x 3
+  constexpr std::size_t kHeaderChecksumOffset = 140;
+  constexpr std::size_t kHeaderBytes = 144;
+  const std::uint64_t rows = std::uint64_t{1} << 62;
+  const std::uint32_t block_rows = 1;
+  const std::uint64_t zero = 0;
+  std::memcpy(bytes.data() + kRowCountOffset, &rows, sizeof(rows));
+  std::memcpy(bytes.data() + kBlockRowsOffset, &block_rows,
+              sizeof(block_rows));
+  for (std::size_t c = 0; c < 3; ++c) {
+    std::memcpy(bytes.data() + kColumnTableOffset + c * 16 + 8, &zero,
+                sizeof(zero));
+  }
+  std::memset(bytes.data() + kHeaderChecksumOffset, 0, sizeof(std::uint32_t));
+  const std::uint32_t digest = crc32c(bytes.data(), kHeaderBytes);
+  std::memcpy(bytes.data() + kHeaderChecksumOffset, &digest, sizeof(digest));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+  MappedIndexOptions lazy;
+  lazy.verify = false;
+  try {
+    MappedIndex::open(path, lazy);
+    FAIL() << "expected StoreError";
+  } catch (const StoreError& error) {
+    EXPECT_NE(std::string(error.what()).find("overflows"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(StoreHardening, WriterKillAtEverySyscallLeavesPathOpenable) {
