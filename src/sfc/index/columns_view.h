@@ -6,8 +6,8 @@
 // curve().point_at(keys()[r]), and engines that need coordinates decode a
 // small tile of keys with point_at_batch.  Where those columns live is a
 // storage decision: owned std::vectors (PointIndex::build), a read-only mmap
-// of an index file (sfc/store MappedIndex), or a curve-contiguous slice of
-// either (sfc/serve shards).  IndexColumnsView is the span-based seam
+// of an index file (sfc/store MappedIndex), or a degraded serving
+// generation's copy of its live rows (sfc/serve).  IndexColumnsView is the span-based seam
 // between the two layers: engines (RangeScanEngine, KnnEngine, the
 // multi-query executor) accept a view and never know the backing storage,
 // which is what makes in-memory and mmap-served queries bit-identical by

@@ -9,9 +9,10 @@
 // are bit-identical across 1/2/8 threads and any grain.
 //
 // The executors take IndexColumnsView: an owned PointIndex, a mmap-backed
-// MappedIndex (sfc/store), and a serve shard all run through the same code.
-// The sharded serving front end (sfc/serve) feeds its admission batches
-// here.
+// MappedIndex (sfc/store), and a degraded serving generation's copy of its
+// live rows all run through the same code.  The serving front end
+// (sfc/serve) answers its admission batches with the same engines, one query
+// per slot, and a ShardedIndex forwards here unchanged.
 #pragma once
 
 #include <cstdint>

@@ -18,7 +18,7 @@
 // Curves without subtree structure fall back to a full scan of the rows
 // (exact, trivially certified), so every family answers through one entry
 // point.  Like the range scans, the engine queries through IndexColumnsView,
-// so in-memory, mmap-backed, and shard-sliced storage all answer
+// so in-memory, mmap-backed, and copied live-row storage all answer
 // bit-identically.
 #pragma once
 

@@ -10,8 +10,8 @@
 // is kept for verification and as the baseline the CI bench gates against.
 //
 // The engine queries through IndexColumnsView, so the same code serves an
-// in-memory PointIndex, a mmap-backed MappedIndex (sfc/store), or one shard
-// of a ShardedIndex (sfc/serve) — bit-identically.
+// in-memory PointIndex, a mmap-backed MappedIndex (sfc/store), or a degraded
+// serving generation's live rows (sfc/serve) — bit-identically.
 #pragma once
 
 #include <cstdint>

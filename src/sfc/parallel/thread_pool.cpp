@@ -51,6 +51,12 @@ void ThreadPool::run_tasks(Batch& batch) {
 void ThreadPool::run_batch(std::uint64_t task_count,
                            const std::function<void(std::uint64_t)>& fn) {
   if (task_count == 0) return;
+  if (task_count == 1) {
+    // Nothing to share: run it here without publishing a batch, so a
+    // one-task batch wakes no helper.
+    fn(0);
+    return;
+  }
   Batch batch;
   batch.task_count = task_count;
   batch.fn = &fn;

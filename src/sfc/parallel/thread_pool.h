@@ -33,7 +33,8 @@ class ThreadPool {
   /// tasks across the pool (the calling thread also participates).  Blocks
   /// until all tasks finish.  Task indices are claimed atomically, so tasks
   /// may run in any order; callers needing determinism must make each task
-  /// independent and combine results by task index afterwards.
+  /// independent and combine results by task index afterwards.  A one-task
+  /// batch runs on the calling thread and wakes no helper.
   void run_batch(std::uint64_t task_count,
                  const std::function<void(std::uint64_t)>& fn);
 

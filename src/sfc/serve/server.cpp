@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
-#include <map>
+#include <iterator>
+#include <optional>
 #include <utility>
 
 #include "sfc/obs/metrics.h"
 #include "sfc/obs/span_trace.h"
+#include "sfc/parallel/parallel_for.h"
 
 namespace sfc {
 
@@ -140,7 +142,6 @@ IndexServer::Pending& IndexServer::admit(Pending&& pending,
     pending.deadline = pending.enqueued + std::chrono::microseconds(deadline_us);
   }
   pending_.push_back(std::move(pending));
-  ++stats_.queries_admitted;
   ++health_.accepted;
   serve_metrics().accepted.add(1);
   serve_metrics().queue_depth.set(static_cast<std::int64_t>(pending_.size()));
@@ -176,7 +177,6 @@ ServedRange IndexServer::range_query_served(const Box& box,
     std::lock_guard<std::mutex> lock(mutex_);
     Pending& slot = admit(Pending(box), deadline_us);
     future = slot.range_promise.get_future();
-    ++stats_.range_queries;
     serve_metrics().range_queries.add(1);
   }
   arrivals_.notify_one();
@@ -194,16 +194,10 @@ ServedKnn IndexServer::knn_query_served(const Point& query, std::uint32_t k,
     std::lock_guard<std::mutex> lock(mutex_);
     Pending& slot = admit(Pending(query, k), deadline_us);
     future = slot.knn_promise.get_future();
-    ++stats_.knn_queries;
     serve_metrics().knn_queries.add(1);
   }
   arrivals_.notify_one();
   return future.get();
-}
-
-ServerStats IndexServer::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 ServerHealth IndexServer::health() const {
@@ -213,7 +207,6 @@ ServerHealth IndexServer::health() const {
     snapshot = health_;
     snapshot.queue_depth = pending_.size();
     snapshot.stopped = stopping_;
-    snapshot.batches_dispatched = stats_.batches_dispatched;
   }
   const std::shared_ptr<const IndexGeneration> gen = generations_.active();
   snapshot.epoch = gen->epoch();
@@ -226,32 +219,24 @@ ServerHealth IndexServer::health() const {
 }
 
 void IndexServer::dispatcher_loop() {
-  const auto window = std::chrono::microseconds(options_.batch_window_us);
   std::vector<Pending> batch;
   while (true) {
+    std::uint64_t batch_number = 0;
     {
+      // The one batching rule: whenever the dispatcher is idle it takes up
+      // to max_batch of the oldest queued queries.  Batches grow only while
+      // a previous batch executes.
       std::unique_lock<std::mutex> lock(mutex_);
       arrivals_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
       if (pending_.empty()) return;  // stopping with nothing queued
-      // The window opens when the dispatcher first sees a non-empty queue —
-      // the oldest query waits at most one window before its batch executes.
-      // Queries with deadlines pull the close earlier: waiting the full
-      // window past a queued deadline would expire a query the server could
-      // still have answered.
-      const auto window_close = Clock::now() + window;
-      while (!stopping_ && pending_.size() < options_.max_batch) {
-        auto close_at = window_close;
-        for (const Pending& p : pending_) {
-          if (p.deadline_us > 0 && p.deadline < close_at) close_at = p.deadline;
-        }
-        if (Clock::now() >= close_at) break;
-        arrivals_.wait_until(lock, close_at);
-      }
-      batch.swap(pending_);
-      ++stats_.batches_dispatched;
-      stats_.max_batch_rows =
-          std::max<std::uint64_t>(stats_.max_batch_rows, batch.size());
-      serve_metrics().queue_depth.set(0);
+      const auto take = static_cast<std::ptrdiff_t>(
+          std::min<std::size_t>(pending_.size(), options_.max_batch));
+      batch.assign(std::make_move_iterator(pending_.begin()),
+                   std::make_move_iterator(pending_.begin() + take));
+      pending_.erase(pending_.begin(), pending_.begin() + take);
+      batch_number = ++health_.batches_dispatched;
+      serve_metrics().queue_depth.set(
+          static_cast<std::int64_t>(pending_.size()));
     }
     serve_metrics().batches.add(1);
     serve_metrics().batch_rows.record_us(static_cast<double>(batch.size()));
@@ -262,7 +247,7 @@ void IndexServer::dispatcher_loop() {
     // generation mapped (shared_ptr refcount) and answers from it — the swap
     // is only ever observed at a batch boundary.
     const std::shared_ptr<const IndexGeneration> gen = generations_.active();
-    execute_batch(batch, *gen, formed);
+    execute_batch(batch, *gen);
     {
       // Per-query latency split at the batch boundary: queue wait (enqueue
       // -> batch formation) and execute (formation -> answer delivered),
@@ -318,14 +303,9 @@ void IndexServer::dispatcher_loop() {
       // One ring-lock acquisition per batch, not per query.
       TraceRing::global().record_all(spans);
     }
-    if (options_.metrics_log_every_batches > 0) {
-      bool log_now = false;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        log_now = stats_.batches_dispatched %
-                      options_.metrics_log_every_batches == 0;
-      }
-      if (log_now) log_metrics_line();
+    if (options_.metrics_log_every_batches > 0 &&
+        batch_number % options_.metrics_log_every_batches == 0) {
+      log_metrics_line();
     }
     batch.clear();
   }
@@ -389,170 +369,109 @@ void IndexServer::expire_batch(std::vector<Pending>& batch,
 }
 
 void IndexServer::execute_batch(std::vector<Pending>& batch,
-                                const IndexGeneration& gen,
-                                Clock::time_point formed) {
-  // Split the mixed batch into one range sub-batch and one kNN sub-batch per
-  // k (the executor answers a whole sub-batch with one k), then execute each
-  // through the sharded executors of the pinned generation.
-  MultiQueryOptions exec;
-  exec.pool = options_.pool;
-  exec.grain = options_.grain;
-  const ShardedIndex& index = gen.sharded();
+                                const IndexGeneration& gen) {
+  // One pass over the whole batch: each query, range or kNN with its own k,
+  // is answered once over the generation's view into its own slot, so a bad
+  // query fails only itself.  A chunk builds each engine it needs once.
+  const IndexColumnsView& view = gen.view();
+  const bool tracing = obs_enabled();
+  ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : ThreadPool::shared();
+  parallel_for_chunks(
+      pool, batch.size(), options_.grain == 0 ? 16 : options_.grain,
+      [&](const ChunkRange& chunk) {
+        std::optional<RangeScanEngine> scan;
+        std::optional<KnnEngine> knn;
+        std::optional<RangeCoverEngine> cover;  // degraded overlap only
+        CoverWorkspace ws;
+        for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+          Pending& p = batch[i];
+          if (tracing) p.engine_start_us = trace_now_us();
+          try {
+            if (p.kind == Pending::Kind::kRange) {
+              if (!scan) scan.emplace(view);
+              scan->scan(p.box, &p.range.ids, &p.range.stats);
+              if (gen.degraded()) {
+                // The live answer is the full answer unless the box's cover
+                // reaches a dead key range.
+                if (!cover) cover.emplace(view.curve());
+                p.dead_overlap = gen.dead_overlap(cover->cover(p.box, ws));
+              }
+            } else {
+              if (!knn) knn.emplace(view);
+              p.knn.neighbors = knn->query(p.point, p.k, &p.knn.stats);
+              if (gen.degraded()) {
+                // Conservative: any dead shard could hold a closer neighbor,
+                // so the live best k is never certified.
+                p.knn.stats.certified = false;
+                p.dead_overlap = gen.dead_shards();
+              }
+            }
+          } catch (...) {
+            p.error = std::current_exception();
+          }
+          if (tracing) p.engine_us = trace_now_us() - p.engine_start_us;
+        }
+      });
+
+  // Deliver on this thread.  Each query's engine-fact span carries its own
+  // engine time and work accounting (the paper's clustering quantities,
+  // observed live); spans are flushed with one record_all per batch.
   const std::uint64_t epoch = gen.epoch();
-  const double formed_us = trace_time_us(formed);
-
-  // Per-query engine-fact span: the execute-side phase of the request's
-  // timeline, carrying the engine's work accounting (the paper's clustering
-  // quantities, observed live).  Duration is the sub-batch's wall time — the
-  // executor answers sub-batches as a unit, so that is the latency the query
-  // actually experienced.  Spans are staged locally and flushed with one
-  // record_all at the end, so the ring mutex is taken once per batch.
   std::vector<TraceSpan> engine_spans;
-  const auto record_range_span = [&](const Pending& p,
-                                     const RangeScanStats& stats,
-                                     std::uint64_t rows, double dur_us) {
-    TraceSpan span;
-    span.trace_id = p.trace_id;
-    span.name = "range";
-    span.category = "engine";
-    span.start_us = formed_us;
-    span.dur_us = dur_us;
-    span.tid = trace_thread_id();
-    span.add_arg("epoch", epoch);
-    span.add_arg("rows_returned", rows);
-    span.add_arg("rows_scanned", stats.rows_scanned);
-    span.add_arg("runs_in_cover", stats.runs_in_cover);
-    span.add_arg("runs_touched", stats.runs_touched);
-    span.add_arg("nodes_visited", stats.nodes_visited);
-    span.add_arg("used_subtree", stats.used_subtree ? 1 : 0);
-    engine_spans.push_back(span);
-  };
-  const auto record_knn_span = [&](const Pending& p, const KnnStats& stats,
-                                   std::uint64_t neighbors, double dur_us) {
-    TraceSpan span;
-    span.trace_id = p.trace_id;
-    span.name = "knn";
-    span.category = "engine";
-    span.start_us = formed_us;
-    span.dur_us = dur_us;
-    span.tid = trace_thread_id();
-    span.add_arg("epoch", epoch);
-    span.add_arg("k", p.k);
-    span.add_arg("neighbors", neighbors);
-    span.add_arg("nodes_expanded", stats.nodes_expanded);
-    span.add_arg("frontier_pushes", stats.frontier_pushes);
-    span.add_arg("rows_scanned", stats.rows_scanned);
-    span.add_arg("certified", stats.certified ? 1 : 0);
-    engine_spans.push_back(span);
-  };
-
-  std::vector<std::size_t> range_slots;
-  std::map<std::uint32_t, std::vector<std::size_t>> knn_slots;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].kind == Pending::Kind::kRange) {
-      range_slots.push_back(i);
+  if (tracing) engine_spans.reserve(batch.size());
+  for (Pending& p : batch) {
+    const bool range = p.kind == Pending::Kind::kRange;
+    if (tracing && !p.error) {
+      TraceSpan span;
+      span.trace_id = p.trace_id;
+      span.name = range ? "range" : "knn";
+      span.category = "engine";
+      span.start_us = p.engine_start_us;
+      span.dur_us = p.engine_us;
+      span.tid = trace_thread_id();
+      span.add_arg("epoch", epoch);
+      if (range) {
+        const RangeScanStats& stats = p.range.stats;
+        span.add_arg("rows_returned", p.range.ids.size());
+        span.add_arg("rows_scanned", stats.rows_scanned);
+        span.add_arg("runs_in_cover", stats.runs_in_cover);
+        span.add_arg("runs_touched", stats.runs_touched);
+        span.add_arg("nodes_visited", stats.nodes_visited);
+        span.add_arg("used_subtree", stats.used_subtree ? 1 : 0);
+      } else {
+        const KnnStats& stats = p.knn.stats;
+        span.add_arg("k", p.k);
+        span.add_arg("neighbors", p.knn.neighbors.size());
+        span.add_arg("nodes_expanded", stats.nodes_expanded);
+        span.add_arg("frontier_pushes", stats.frontier_pushes);
+        span.add_arg("rows_scanned", stats.rows_scanned);
+        span.add_arg("certified", stats.certified ? 1 : 0);
+      }
+      engine_spans.push_back(span);
+    }
+    std::exception_ptr error = p.error;
+    if (!error && !p.dead_overlap.empty()) {
+      serve_metrics().degraded_partials.add(1);
+      error = range ? std::make_exception_ptr(PartialResultError(
+                          std::move(p.dead_overlap), std::move(p.range.ids)))
+                    : std::make_exception_ptr(PartialResultError(
+                          std::move(p.dead_overlap),
+                          std::move(p.knn.neighbors)));
+    }
+    if (range) {
+      if (error) {
+        p.range_promise.set_exception(error);
+      } else {
+        p.range_promise.set_value(ServedRange{std::move(p.range), epoch});
+      }
+    } else if (error) {
+      p.knn_promise.set_exception(error);
     } else {
-      knn_slots[batch[i].k].push_back(i);
+      p.knn_promise.set_value(ServedKnn{std::move(p.knn), epoch});
     }
   }
-
-  if (!range_slots.empty()) {
-    std::vector<Box> boxes;
-    boxes.reserve(range_slots.size());
-    for (const std::size_t i : range_slots) boxes.push_back(batch[i].box);
-    try {
-      if (gen.degraded()) {
-        std::vector<DegradedRangeResult> results = run_range_queries_degraded(
-            index, boxes, gen.shard_alive(), exec);
-        const double sub_us =
-            obs_enabled() ? trace_now_us() - formed_us : 0.0;
-        for (std::size_t j = 0; j < range_slots.size(); ++j) {
-          Pending& p = batch[range_slots[j]];
-          DegradedRangeResult& d = results[j];
-          if (obs_enabled()) {
-            record_range_span(p, d.result.stats, d.result.ids.size(), sub_us);
-          }
-          if (d.dead_overlap.empty()) {
-            p.range_promise.set_value(
-                ServedRange{std::move(d.result), epoch});
-          } else {
-            serve_metrics().degraded_partials.add(1);
-            p.range_promise.set_exception(
-                std::make_exception_ptr(PartialResultError(
-                    std::move(d.dead_overlap), std::move(d.result.ids))));
-          }
-        }
-      } else {
-        std::vector<RangeQueryResult> results =
-            run_range_queries(index, boxes, exec);
-        const double sub_us =
-            obs_enabled() ? trace_now_us() - formed_us : 0.0;
-        for (std::size_t j = 0; j < range_slots.size(); ++j) {
-          Pending& p = batch[range_slots[j]];
-          if (obs_enabled()) {
-            record_range_span(p, results[j].stats, results[j].ids.size(),
-                              sub_us);
-          }
-          p.range_promise.set_value(ServedRange{std::move(results[j]), epoch});
-        }
-      }
-    } catch (...) {
-      // A bad query (e.g. out-of-universe box) fails the whole sub-batch;
-      // every waiter sees the error on its own thread.
-      for (const std::size_t i : range_slots) {
-        batch[i].range_promise.set_exception(std::current_exception());
-      }
-    }
-  }
-
-  for (auto& [k, slots] : knn_slots) {
-    std::vector<Point> points;
-    points.reserve(slots.size());
-    for (const std::size_t i : slots) points.push_back(batch[i].point);
-    try {
-      if (gen.degraded()) {
-        std::vector<DegradedKnnResult> results = run_knn_queries_degraded(
-            index, points, k, gen.shard_alive(), exec);
-        const double sub_us =
-            obs_enabled() ? trace_now_us() - formed_us : 0.0;
-        for (std::size_t j = 0; j < slots.size(); ++j) {
-          Pending& p = batch[slots[j]];
-          DegradedKnnResult& d = results[j];
-          if (obs_enabled()) {
-            record_knn_span(p, d.result.stats, d.result.neighbors.size(),
-                            sub_us);
-          }
-          if (d.dead_overlap.empty()) {
-            p.knn_promise.set_value(ServedKnn{std::move(d.result), epoch});
-          } else {
-            serve_metrics().degraded_partials.add(1);
-            p.knn_promise.set_exception(
-                std::make_exception_ptr(PartialResultError(
-                    std::move(d.dead_overlap),
-                    std::move(d.result.neighbors))));
-          }
-        }
-      } else {
-        std::vector<KnnQueryResult> results =
-            run_knn_queries(index, points, k, exec);
-        const double sub_us =
-            obs_enabled() ? trace_now_us() - formed_us : 0.0;
-        for (std::size_t j = 0; j < slots.size(); ++j) {
-          Pending& p = batch[slots[j]];
-          if (obs_enabled()) {
-            record_knn_span(p, results[j].stats, results[j].neighbors.size(),
-                            sub_us);
-          }
-          p.knn_promise.set_value(ServedKnn{std::move(results[j]), epoch});
-        }
-      }
-    } catch (...) {
-      for (const std::size_t i : slots) {
-        batch[i].knn_promise.set_exception(std::current_exception());
-      }
-    }
-  }
-  TraceRing::global().record_all(engine_spans);
+  if (tracing) TraceRing::global().record_all(engine_spans);
 }
 
 ReplayReport replay_trace(IndexServer& server, const QueryTrace& trace,

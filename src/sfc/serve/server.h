@@ -1,14 +1,16 @@
-// The concurrent serving front end: batching admission over a sharded index.
+// The concurrent serving front end: batching admission over an index.
 //
 // Serving clients arrive one query at a time, but the engines are at their
-// best answering batches (engine reuse, chunked parallelism, shard fan-out).
-// IndexServer bridges the two with a classic batching admission queue: client
-// threads enqueue a query and block on a future; a single dispatcher thread
-// collects arrivals until the batch is full (`max_batch`) or the oldest
-// waiting query has aged out (`batch_window_us`), then executes the whole
-// batch through the sharded run_range_queries / run_knn_queries executors and
-// fulfills every future.  Under load, batches fill and throughput approaches
-// the executors' batch rate; when idle, a lone query waits at most one window.
+// best answering batches (engine reuse, chunked parallelism).  IndexServer
+// bridges the two with a batching admission queue: client threads enqueue a
+// query and block on a future; a single dispatcher thread waits for a
+// non-empty queue, takes up to `max_batch` of the oldest queued queries,
+// executes them, and repeats.  That is the only batching rule — there is no
+// window to tune: a lone query on an idle server is dispatched at once, and
+// batches grow only while a previous batch executes, so they track the load.
+// Each batch runs as one pass over the pool: every query, range or kNN with
+// its own k, is answered once over the generation's view into its own result
+// or error slot, so a malformed query fails only its own caller.
 //
 // The queue is a real admission controller, not a buffer: it is bounded
 // (`max_queue`, ServerOverloadError beyond it — backpressure instead of
@@ -37,6 +39,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -60,20 +64,15 @@ struct ServerOptions {
   ThreadPool* pool = nullptr;
   /// Executor chunk grain (queries per engine chunk).
   std::uint64_t grain = 16;
-  /// Dispatch as soon as this many queries are queued.
+  /// Most queries the dispatcher takes from the queue into one batch.
   std::uint32_t max_batch = 64;
-  /// ... or once the oldest queued query has waited this long.
-  std::uint32_t batch_window_us = 200;
   /// Admission-queue bound: a submission arriving while the queue already
   /// holds this many queries fails fast with ServerOverloadError
   /// (backpressure).  0 = unbounded (the pre-robustness behavior).
   std::uint32_t max_queue = 1024;
   /// Default per-query deadline in microseconds (0 = none).  A query whose
   /// deadline passes while it is still queued is failed with
-  /// ServerTimeoutError at batch formation.  Deadlines shorter than
-  /// batch_window_us cannot be met by a batching server — the batch closes
-  /// early at the earliest queued deadline, but the query has already aged
-  /// out by then; give deadlines headroom above the window.
+  /// ServerTimeoutError at batch formation.
   std::uint64_t deadline_us = 0;
   /// Open files degraded when per-shard verification can localize corruption
   /// (dead shards + PartialResultError) instead of failing the open/reload.
@@ -82,14 +81,6 @@ struct ServerOptions {
   /// Every N dispatched batches the dispatcher logs a compact one-line
   /// metrics snapshot (counters + latency p99s) to stderr.  0 = off.
   std::uint32_t metrics_log_every_batches = 0;
-};
-
-struct ServerStats {
-  std::uint64_t queries_admitted = 0;
-  std::uint64_t range_queries = 0;
-  std::uint64_t knn_queries = 0;
-  std::uint64_t batches_dispatched = 0;
-  std::uint64_t max_batch_rows = 0;  ///< largest batch dispatched so far
 };
 
 /// Operator-facing snapshot of the admission controller (taken atomically
@@ -161,7 +152,8 @@ class IndexServer {
 
   /// Blocking point queries: enqueue, wait for the dispatcher's batch, return
   /// the engine's answer.  Engine errors (e.g. out-of-universe arguments)
-  /// rethrow on the calling thread.  Admission failures are typed: queue full
+  /// rethrow on the calling thread, and only there: the other queries of the
+  /// batch are answered normally.  Admission failures are typed: queue full
   /// = ServerOverloadError, deadline expired in queue = ServerTimeoutError,
   /// submitted after stop() = ServerStoppedError; in a degraded generation a
   /// query overlapping a dead shard throws PartialResultError (carrying the
@@ -201,8 +193,6 @@ class IndexServer {
   /// storage mapped even across reloads).
   std::shared_ptr<const IndexGeneration> generation() const;
   const ServerOptions& options() const { return options_; }
-  /// Snapshot of the admission counters (taken under the queue lock).
-  ServerStats stats() const;
   /// Snapshot of the robustness counters, latency histograms, and the
   /// active generation's status.
   ServerHealth health() const;
@@ -222,6 +212,14 @@ class IndexServer {
     std::uint64_t trace_id = 0;
     std::promise<ServedRange> range_promise;
     std::promise<ServedKnn> knn_promise;
+    /// Execution slot, written by the one task that answers this query.
+    RangeQueryResult range;
+    KnnQueryResult knn;
+    std::exception_ptr error;
+    /// Dead shards the query needed (degraded generations only).
+    std::vector<std::uint32_t> dead_overlap;
+    double engine_start_us = 0.0;  ///< trace clock; set only when tracing
+    double engine_us = 0.0;
 
     explicit Pending(const Box& b)
         : kind(Kind::kRange), box(b) {}
@@ -237,10 +235,8 @@ class IndexServer {
   /// Fails batch entries whose deadline has passed; keeps the live ones.
   void expire_batch(std::vector<Pending>& batch, Clock::time_point now);
   /// Executes `batch` against `gen` (the generation the dispatcher pinned at
-  /// batch formation) and fulfills every promise.  `formed` is the batch
-  /// formation time, the start of every execute-side trace span.
-  void execute_batch(std::vector<Pending>& batch, const IndexGeneration& gen,
-                     Clock::time_point formed);
+  /// batch formation) and fulfills every promise.
+  void execute_batch(std::vector<Pending>& batch, const IndexGeneration& gen);
   /// One-line metrics snapshot to stderr (metrics_log_every_batches).
   void log_metrics_line();
 
@@ -250,9 +246,8 @@ class IndexServer {
   mutable std::mutex mutex_;
   std::mutex join_mutex_;  ///< serializes the dispatcher join in stop()
   std::condition_variable arrivals_;
-  std::vector<Pending> pending_;
+  std::deque<Pending> pending_;
   bool stopping_ = false;
-  ServerStats stats_;
   ServerHealth health_;  ///< queue_depth/stopped filled at snapshot time
   std::thread dispatcher_;
 };

@@ -1,25 +1,23 @@
-// Curve-contiguous sharding of an index columns view.
+// Curve-contiguous sharding of an index columns view: a partition map.
 //
 // Splitting by the *leading* bits of the curve key partitions the rows into
 // 2^shard_bits contiguous key ranges — and, because rows are key-sorted,
-// into contiguous row ranges too.  Each shard is therefore just a slice of
-// the base columns (zero copies of keys/ids/points) plus its own small block
-// directory rebuilt over the slice, packaged as the same IndexColumnsView
-// every engine queries.  The paper's clustering results are why this is the
-// right split: curve-contiguous shards inherit the curve's proximity
-// preservation, so a box or kNN query touches few shards and each shard's
-// scan stays as dense as the unsharded one.
+// into contiguous row ranges too.  A ShardedIndex records only that map: each
+// shard's key range and its first row in the base view.  It copies nothing
+// and builds no per-shard directory.
 //
-// Queries over the sharded index fan out per shard and merge:
-//   - range scans concatenate per-shard id runs in shard order (shards are
-//     ascending in key, so concatenation *is* global row order);
-//   - kNN merges the per-shard top-k under the global candidate order
-//     (squared distance, key, id) — within equal keys, row order is id
-//     order, so this is exactly the unsharded (distance, key, row) order.
-// Both are bit-identical to the unsharded engines; tests enforce it.
+// Queries never fan out over shards.  A box's cover is one short sorted
+// interval list (its clustering number, which the paper's curves keep small),
+// and cutting the key space at shard boundaries only cuts that list; it never
+// needs a second one.  So run_range_queries / run_knn_queries over a
+// ShardedIndex answer each query once over the base view, bit-identically to
+// the unsharded executors for every shard count.  The map is what serving
+// needs the shards for: attributing corruption to a key range at open time
+// and reporting which dead key ranges a query needed (sfc/serve/generation).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sfc/index/columns_view.h"
@@ -28,48 +26,55 @@
 
 namespace sfc {
 
-/// A sharded, read-only wrapper over any index storage (in-memory PointIndex
-/// or mmap-backed MappedIndex — anything that yields an IndexColumnsView).
-/// The base storage must outlive the sharded index.
+/// A sharded, read-only partition map over any index storage (in-memory
+/// PointIndex or mmap-backed MappedIndex — anything that yields an
+/// IndexColumnsView).  The base storage must outlive the sharded index.
 class ShardedIndex {
  public:
-  /// Splits `base` into 2^shard_bits curve-contiguous shards.  shard_bits is
-  /// clamped to the key width of the universe, so tiny universes simply get
-  /// fewer shards; shard_bits = 0 means one shard (the base view itself).
+  /// Splits `base` into 2^shard_bits curve-contiguous shards, locating each
+  /// shard's first row through the base view's block directory.  shard_bits
+  /// is clamped to the key width of the universe, so tiny universes simply
+  /// get fewer shards; shard_bits = 0 means one shard (the base view itself).
   explicit ShardedIndex(IndexColumnsView base, int shard_bits = 0);
+
+  /// Same map, with each shard's first row located from the key column
+  /// alone and robustly to local corruption — for a base whose keys and
+  /// directory are untrusted (a file opened degraded).  In a clean file it
+  /// equals the constructor's map.  O(rows + shards).
+  static ShardedIndex from_untrusted_keys(IndexColumnsView base,
+                                          int shard_bits);
 
   const IndexColumnsView& base() const { return base_; }
   int shard_bits() const { return shard_bits_; }
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// Shard s as a queryable view (slice of the base columns + own
-  /// directory); shards ascend in key order.
-  const IndexColumnsView& shard(std::size_t s) const { return shards_[s]; }
+  std::size_t shard_count() const { return row_begin_.size(); }
 
   /// Inclusive key range [lo, hi] owned by shard s.
-  KeyInterval shard_key_range(std::size_t s) const { return key_ranges_[s]; }
+  KeyInterval shard_key_range(std::size_t s) const {
+    const index_t lo = static_cast<index_t>(s) << shift_;
+    return KeyInterval{lo, lo + ((index_t{1} << shift_) - 1)};
+  }
 
   /// Global (base-view) row index of shard s's first row.
-  std::uint64_t shard_row_begin(std::size_t s) const {
-    return shard_row_begin_[s];
+  std::uint64_t shard_row_begin(std::size_t s) const { return row_begin_[s]; }
+  /// One past shard s's last row.
+  std::uint64_t shard_row_end(std::size_t s) const {
+    return s + 1 < row_begin_.size() ? row_begin_[s + 1] : base_.row_count();
   }
 
  private:
+  struct Unlocated {};
+  /// Sets base_, shard_bits_ and shift_; leaves row_begin_ empty.
+  ShardedIndex(IndexColumnsView base, int shard_bits, Unlocated);
+
   IndexColumnsView base_;
   int shard_bits_ = 0;
-  std::vector<KeyInterval> key_ranges_;
-  std::vector<std::uint64_t> shard_row_begin_;
-  /// Per-shard directories; the element vectors are stable (never resized
-  /// after construction) so the shard views can point into them.
-  std::vector<std::vector<index_t>> directories_;
-  std::vector<IndexColumnsView> shards_;
+  int shift_ = 0;  ///< key bits below the shard bits
+  std::vector<std::uint64_t> row_begin_;
 };
 
-/// Sharded multi-query execution: every query fans out over all shards (each
-/// (shard, query) cell is an independent task on the pool), and per-shard
-/// results merge deterministically.  Results are bit-identical to the
-/// unsharded run_range_queries / run_knn_queries on the base view, for every
-/// shard count, thread count, and grain.
+/// Multi-query execution over a sharded index: the base-view executors.
+/// Sharding is a partition map, not a query plan, so these are forwards kept
+/// for callers that hold a ShardedIndex.
 std::vector<RangeQueryResult> run_range_queries(
     const ShardedIndex& index, std::span<const Box> boxes,
     const MultiQueryOptions& options = {});
@@ -77,39 +82,5 @@ std::vector<RangeQueryResult> run_range_queries(
 std::vector<KnnQueryResult> run_knn_queries(
     const ShardedIndex& index, std::span<const Point> queries, std::uint32_t k,
     const MultiQueryOptions& options = {});
-
-/// Degraded-mode execution over a partially-dead sharded index.  `alive[s]`
-/// (nonzero = alive) marks the shards that passed per-shard verification;
-/// dead shards are skipped entirely in the fan-out, and each result carries
-/// the sorted ids of the dead shards the query actually needed — empty
-/// dead_overlap means the answer is the full, exact answer (the dead data
-/// provably could not contribute), so queries away from the corruption keep
-/// their full guarantees.
-///
-/// Range queries decide overlap exactly: the box's key cover is intersected
-/// with the dead shards' key ranges.  kNN is conservative: any dead shard is
-/// reported for every query (a dead shard could always hold a closer
-/// neighbor), and partial kNN answers are never certified.
-///
-/// With every shard alive both functions delegate to the plain executors and
-/// are bit-identical to them.
-struct DegradedRangeResult {
-  RangeQueryResult result;  ///< merged over live shards only (row order)
-  /// Dead shards whose key range the box's cover touches; sorted ascending.
-  std::vector<std::uint32_t> dead_overlap;
-};
-
-struct DegradedKnnResult {
-  KnnQueryResult result;  ///< best k over live shards; not certified global
-  std::vector<std::uint32_t> dead_overlap;
-};
-
-std::vector<DegradedRangeResult> run_range_queries_degraded(
-    const ShardedIndex& index, std::span<const Box> boxes,
-    std::span<const std::uint8_t> alive, const MultiQueryOptions& options = {});
-
-std::vector<DegradedKnnResult> run_knn_queries_degraded(
-    const ShardedIndex& index, std::span<const Point> queries, std::uint32_t k,
-    std::span<const std::uint8_t> alive, const MultiQueryOptions& options = {});
 
 }  // namespace sfc

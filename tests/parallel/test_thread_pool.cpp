@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace sfc {
@@ -50,6 +51,26 @@ TEST(ThreadPool, ExceptionPropagatesToCaller) {
   std::atomic<int> count{0};
   pool.run_batch(10, [&](std::uint64_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPool, OneTaskBatchRunsOnTheCaller) {
+  // A one-task batch has nothing to share: it must run on the calling thread
+  // (and so wake no helper), every time — including its exception.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int i = 0; i < 200; ++i) {
+    std::thread::id ran_on;
+    pool.run_batch(1, [&](std::uint64_t task) {
+      EXPECT_EQ(task, 0u);
+      ran_on = std::this_thread::get_id();
+    });
+    ASSERT_EQ(ran_on, caller) << "batch " << i;
+  }
+  EXPECT_THROW(pool.run_batch(1,
+                              [](std::uint64_t) {
+                                throw std::runtime_error("task failure");
+                              }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, ThreadCountReported) {

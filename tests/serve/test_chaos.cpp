@@ -24,7 +24,6 @@ TEST(Chaos, MiniSoakWithCrashCyclesIsClean) {
   options.reload_every_ms = 50;
   options.crash_every = 3;  // auto-disabled under TSAN inside run_chaos
   options.server.shard_bits = 2;
-  options.server.batch_window_us = 100;
 
   const ChaosReport report = run_chaos(options);
 

@@ -6,6 +6,7 @@
 // every curve family — until a repaired reload resurrects them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -114,7 +115,6 @@ TEST(Generation, ReloadStormKeepsEveryAnswerGenerationConsistent) {
     write_index_file(path, a.index, a.descriptor);
     ServerOptions options;
     options.shard_bits = 2;
-    options.batch_window_us = 50;
     IndexServer server(path, options);
 
     std::atomic<bool> stop{false};
@@ -236,7 +236,8 @@ TEST(Generation, DegradedModeRoutesAroundDeadShardsForEveryFamily) {
            reference.shard_row_begin(dead + 1) <= middle_row) {
       ++dead;
     }
-    const std::uint64_t shard_rows = reference.shard(dead).row_count();
+    const std::uint64_t shard_rows =
+        reference.shard_row_end(dead) - reference.shard_row_begin(dead);
     std::uint64_t victim_row = reference.shard_row_begin(dead) + shard_rows / 2;
     const auto keys = a.index.keys();
     while (keys[victim_row] == keys[victim_row + 1]) ++victim_row;
@@ -313,6 +314,189 @@ TEST(Generation, DegradedModeRoutesAroundDeadShardsForEveryFamily) {
                 scan_ids(a.index.view(), probe_box(i)))
           << family << " probe " << i;
     }
+  }
+}
+
+/// Overwrites `rows` keys from global row `first_row`, and directory entry
+/// `block`, of the file at `path` with `key`.
+void stomp_keys_and_directory(const std::string& path, std::uint64_t first_row,
+                              std::uint64_t rows, std::uint64_t block,
+                              index_t key) {
+  MappedIndexOptions lazy;
+  lazy.verify = false;
+  lazy.lock = false;
+  std::uint64_t keys_offset = 0;
+  std::uint64_t directory_offset = 0;
+  {
+    const MappedIndex mapped = MappedIndex::open(path, lazy);
+    keys_offset = mapped.column_offset(0);
+    directory_offset = mapped.column_offset(2);
+  }
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good());
+  const std::vector<index_t> stomp(rows, key);
+  file.seekp(static_cast<std::streamoff>(keys_offset +
+                                         first_row * sizeof(index_t)));
+  file.write(reinterpret_cast<const char*>(stomp.data()),
+             static_cast<std::streamsize>(rows * sizeof(index_t)));
+  file.seekp(static_cast<std::streamoff>(directory_offset +
+                                         block * sizeof(index_t)));
+  file.write(reinterpret_cast<const char*>(&key), sizeof(key));
+  ASSERT_TRUE(file.good());
+}
+
+/// Opens the corrupted file at `path` strictly (must throw) and degraded
+/// (must kill exactly the shards in `dead`), then checks that range probes
+/// in live shards answer exactly, that probes reaching dead shards carry the
+/// live rows' answer, and that kNN carries the live rows' best k.  `a` is
+/// the uncorrupted dataset the file was written from.
+void expect_degraded_answers(const Dataset& a, const std::string& path,
+                             int shard_bits,
+                             const std::vector<std::uint32_t>& dead,
+                             const std::string& family) {
+  EXPECT_THROW((void)IndexGeneration::open(path, shard_bits, 0, false),
+               StoreError)
+      << family;
+  ServerOptions options;
+  options.shard_bits = shard_bits;
+  options.allow_degraded = true;
+  IndexServer server(path, options);
+  const ShardedIndex reference(a.index.view(), shard_bits);
+  const ServerHealth health = server.health();
+  ASSERT_EQ(health.shard_alive.size(), reference.shard_count()) << family;
+  std::vector<std::uint8_t> alive(reference.shard_count(), 1);
+  for (const std::uint32_t d : dead) alive[d] = 0;
+  EXPECT_EQ(health.shard_alive, alive) << family;
+
+  // Live ids by the uncorrupted file's shard boundaries.
+  std::vector<std::uint8_t> id_alive(a.index.row_count());
+  for (std::size_t s = 0; s < reference.shard_count(); ++s) {
+    for (std::uint64_t row = reference.shard_row_begin(s);
+         row < reference.shard_row_end(s); ++row) {
+      id_alive[a.index.ids()[row]] = alive[s];
+    }
+  }
+
+  // Boxes along the diagonal, and single cells (which every family's
+  // shards separate, the random curve's included).
+  std::vector<Box> probes;
+  for (int i = 0; i < 10; ++i) {
+    probes.push_back(probe_box(i));
+    const Point cell{static_cast<coord_t>(i * 7 % 64),
+                     static_cast<coord_t>(i * 13 % 64)};
+    probes.push_back(Box(cell, cell));
+  }
+  int partial = 0;
+  int full = 0;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const auto ref = scan_ids(a.index.view(), probes[i]);
+    std::vector<std::uint32_t> live_ref;
+    for (const std::uint32_t id : ref) {
+      if (id_alive[id] != 0) live_ref.push_back(id);
+    }
+    try {
+      const RangeQueryResult result = server.range_query(probes[i]);
+      ++full;
+      EXPECT_EQ(result.ids, ref) << family << " probe " << i;
+    } catch (const PartialResultError& error) {
+      ++partial;
+      EXPECT_FALSE(error.dead_shards().empty()) << family;
+      for (const std::uint32_t d : error.dead_shards()) {
+        EXPECT_EQ(alive[d], 0u) << family << " probe " << i;
+      }
+      EXPECT_EQ(error.partial_ids(), live_ref) << family << " probe " << i;
+    }
+  }
+  EXPECT_GT(partial, 0) << family;
+  EXPECT_GT(full, 0) << family;
+
+  // kNN: the best 4 over the live shards' rows, by brute force.
+  const Point query{31, 31};
+  std::vector<KnnNeighbor> live_best;
+  for (std::uint32_t id = 0; id < a.points.size(); ++id) {
+    if (id_alive[id] == 0) continue;
+    std::uint64_t sq = 0;
+    for (int d = 0; d < 2; ++d) {
+      const std::int64_t diff = static_cast<std::int64_t>(a.points[id][d]) -
+                                static_cast<std::int64_t>(query[d]);
+      sq += static_cast<std::uint64_t>(diff * diff);
+    }
+    live_best.push_back(KnnNeighbor{id, a.curve->index_of(a.points[id]), sq});
+  }
+  std::sort(live_best.begin(), live_best.end(),
+            [](const KnnNeighbor& x, const KnnNeighbor& y) {
+              if (x.sq_dist != y.sq_dist) return x.sq_dist < y.sq_dist;
+              if (x.key != y.key) return x.key < y.key;
+              return x.id < y.id;
+            });
+  live_best.resize(4);
+  try {
+    (void)server.knn_query(query, 4);
+    FAIL() << family << ": expected PartialResultError";
+  } catch (const PartialResultError& error) {
+    EXPECT_EQ(error.dead_shards(), dead) << family;
+    EXPECT_EQ(error.partial_neighbors(), live_best) << family;
+  }
+}
+
+TEST(Generation, DegradedModeSurvivesAStompedBlockAndDirectoryEntry) {
+  // The middle block of the file — which lies inside shard 0, because 70%
+  // of the keys are drawn from shard 0's key range — has its keys and its
+  // directory entry stomped to the last cell.  The block agrees with its
+  // own directory entry, and every binary search of the directory for a
+  // later shard's first key probes the middle entry first and is misrouted
+  // into shard 0.  The degraded generation must still kill only shard 0 and
+  // answer every probe of the live shards exactly.
+  for (const std::string family : {"hilbert", "z", "snake", "gray", "simple",
+                                   "random"}) {
+    Dataset a = make_dataset(family, 48, 0);
+    const index_t cells = a.curve->universe().cell_count();
+    Xoshiro256 rng(48);
+    for (int i = 0; i < 8000; ++i) {
+      const index_t key = rng.next_below(10) < 7 ? rng.next_below(cells / 4)
+                                                  : rng.next_below(cells);
+      a.points.push_back(a.curve->point_at(key));
+    }
+    a.index = PointIndex::build(*a.curve, a.points);
+    const std::string path = temp_path("stomped_" + family);
+    write_index_file(path, a.index, a.descriptor);
+
+    constexpr int kShardBits = 2;
+    const ShardedIndex reference(a.index.view(), kShardBits);
+    const std::uint64_t block_rows = a.index.view().block_rows();
+    const std::uint64_t block = a.index.view().block_count() / 2;
+    // A whole block of shard 0 on each side of the stomped one.
+    ASSERT_GE(block * block_rows, block_rows) << family;
+    ASSERT_LE((block + 2) * block_rows, reference.shard_row_end(0)) << family;
+    stomp_keys_and_directory(path, block * block_rows, block_rows, block,
+                             cells - 1);
+
+    expect_degraded_answers(a, path, kShardBits, {0}, family);
+  }
+}
+
+TEST(Generation, DegradedModeKillsALiveShardWithAnUnattributableEdge) {
+  // The last whole block of shard 0 is stomped to the last cell, within a
+  // block of shard 0's end.  Fewer rows sit on the wrong side of a boundary
+  // at the block's start than at shard 0's true end, so shard 1 starts at
+  // the stomped block and dies.  Shard 0 then verifies clean, but the row
+  // past its edge is a garbage key in a dead shard: it may be one of shard
+  // 0's own rows, so shard 0 must die too rather than silently lose it.
+  for (const std::string family : {"hilbert", "z", "snake", "gray", "simple",
+                                   "random"}) {
+    const Dataset a = make_dataset(family, 49, 8000);
+    const std::string path = temp_path("edge_" + family);
+    write_index_file(path, a.index, a.descriptor);
+
+    constexpr int kShardBits = 2;
+    const ShardedIndex reference(a.index.view(), kShardBits);
+    const std::uint64_t block_rows = a.index.view().block_rows();
+    const std::uint64_t block = reference.shard_row_end(0) / block_rows - 1;
+    ASSERT_GE(block, 1u) << family;
+    stomp_keys_and_directory(path, block * block_rows, block_rows, block,
+                             a.curve->universe().cell_count() - 1);
+
+    expect_degraded_answers(a, path, kShardBits, {0, 1}, family);
   }
 }
 

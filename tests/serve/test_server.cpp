@@ -1,5 +1,6 @@
 // The serving front end batches and shards, but answers must be exactly the
-// engines' answers — under any client concurrency, batch size, or window.
+// engines' answers — under any client concurrency or batch size, and with a
+// malformed query in the same batch.
 #include "sfc/serve/server.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include "sfc/index/point_index.h"
 #include "sfc/ranges/range_cover.h"
 #include "sfc/rng/sampling.h"
+#include "sfc/serve/serve_error.h"
+#include "gated_curve.h"
 
 namespace sfc {
 namespace {
@@ -80,7 +83,6 @@ TEST(IndexServer, AnswersMatchDirectEnginesUnderConcurrentClients) {
     ServerOptions options;
     options.shard_bits = 3;
     options.max_batch = 16;
-    options.batch_window_us = 100;
     IndexServer server(f.index.view(), options);
 
     std::vector<std::vector<std::uint32_t>> range_got(range_slots.size());
@@ -109,38 +111,110 @@ TEST(IndexServer, AnswersMatchDirectEnginesUnderConcurrentClients) {
           << clients << " clients, knn query " << i;
     }
 
-    const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.queries_admitted, f.trace.size());
-    EXPECT_EQ(stats.range_queries, range_slots.size());
-    EXPECT_EQ(stats.knn_queries, knn_slots.size());
-    EXPECT_GE(stats.batches_dispatched, 1u);
-    EXPECT_LE(stats.max_batch_rows, f.trace.size());
+    server.stop();  // drains, so the executed count is final
+    const ServerHealth health = server.health();
+    EXPECT_EQ(health.accepted, f.trace.size());
+    EXPECT_EQ(health.executed, f.trace.size());
+    EXPECT_GE(health.batches_dispatched, 1u);
+    EXPECT_LE(health.batches_dispatched, f.trace.size());
   }
 }
 
 TEST(IndexServer, BatchesFillUnderBackpressure) {
+  // Hold the dispatcher inside a one-query batch while 12 clients queue one
+  // query each; once released it must take the queue in max_batch-sized
+  // batches, oldest first: 8, then 4.
   const Fixture f = make_fixture(53);
+  GatedCurve gate(*f.curve);
   ServerOptions options;
   options.max_batch = 8;
-  // A long window forces batches to close by filling, not by timeout.
-  options.batch_window_us = 50000;
-  IndexServer server(f.index.view(), options);
+  IndexServer server(gate.gate(f.index.view()), options);
+  std::thread plug([&] { server.knn_query(Point{7, 9}, 3); });
+  gate.wait_for_blocked_call();
   std::vector<std::thread> threads;
-  for (int c = 0; c < 8; ++c) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 10; ++i) {
-        server.knn_query(Point{7, 9}, 3);
-      }
-    });
+  for (int c = 0; c < 12; ++c) {
+    threads.emplace_back([&] { server.knn_query(Point{7, 9}, 3); });
   }
+  while (server.health().queue_depth < 12) std::this_thread::yield();
+  gate.open();
+  plug.join();
   for (std::thread& t : threads) t.join();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.queries_admitted, 80u);
-  // 80 queries in batches of <= 8 means at least 10 dispatches; batching must
-  // have aggregated *something* (fewer batches than queries).
-  EXPECT_GE(stats.batches_dispatched, 10u);
-  EXPECT_LT(stats.batches_dispatched, 80u);
-  EXPECT_GE(stats.max_batch_rows, 2u);
+  server.stop();
+  const ServerHealth health = server.health();
+  EXPECT_EQ(health.accepted, 13u);
+  EXPECT_EQ(health.executed, 13u);
+  EXPECT_EQ(health.batches_dispatched, 3u);
+}
+
+TEST(IndexServer, BadQueryFailsOnlyItself) {
+  // One batch holds good range and kNN queries (two values of k) plus an
+  // out-of-universe box and an out-of-universe point.  Every good query
+  // must get the direct engines' answer; each bad one only its own typed
+  // error.
+  const Fixture f = make_fixture(55);
+  GatedCurve gate(*f.curve);
+  ServerOptions options;
+  options.max_batch = 64;
+  options.grain = 4;  // several chunks, so the bad queries share none
+  IndexServer server(gate.gate(f.index.view()), options);
+  std::thread plug([&] { (void)server.range_query(Box(Point{0, 0}, Point{3, 3})); });
+  gate.wait_for_blocked_call();
+
+  std::vector<Box> boxes;
+  std::vector<Point> points;
+  for (int i = 0; i < 10; ++i) {
+    const coord_t lo = static_cast<coord_t>(i * 5);
+    boxes.push_back(Box(Point{lo, lo}, Point{lo + 9, lo + 6}));
+    points.push_back(Point{static_cast<coord_t>(63 - i * 6), lo});
+  }
+  const auto range_reference = run_range_queries(f.index.view(), boxes);
+  const auto knn3_reference = run_knn_queries(f.index.view(), points, 3);
+  const auto knn7_reference = run_knn_queries(f.index.view(), points, 7);
+
+  std::vector<std::vector<std::uint32_t>> range_got(boxes.size());
+  std::vector<std::vector<KnnNeighbor>> knn3_got(points.size());
+  std::vector<std::vector<KnnNeighbor>> knn7_got(points.size());
+  std::atomic<int> bad_box_errors{0};
+  std::atomic<int> bad_point_errors{0};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    threads.emplace_back([&, i] { range_got[i] = server.range_query(boxes[i]).ids; });
+    threads.emplace_back(
+        [&, i] { knn3_got[i] = server.knn_query(points[i], 3).neighbors; });
+    threads.emplace_back(
+        [&, i] { knn7_got[i] = server.knn_query(points[i], 7).neighbors; });
+  }
+  threads.emplace_back([&] {
+    try {
+      (void)server.range_query(Box(Point{60, 60}, Point{70, 70}));
+    } catch (const RangeArgumentError&) {
+      ++bad_box_errors;
+    }
+  });
+  threads.emplace_back([&] {
+    try {
+      (void)server.knn_query(Point{1000, 1000}, 3);
+    } catch (const IndexArgumentError&) {
+      ++bad_point_errors;
+    }
+  });
+  const std::uint64_t queued = 3 * boxes.size() + 2;
+  while (server.health().queue_depth < queued) std::this_thread::yield();
+  gate.open();
+  plug.join();
+  for (std::thread& t : threads) t.join();
+
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    EXPECT_EQ(range_got[i], range_reference[i].ids) << "box " << i;
+    EXPECT_EQ(knn3_got[i], knn3_reference[i].neighbors) << "point " << i;
+    EXPECT_EQ(knn7_got[i], knn7_reference[i].neighbors) << "point " << i;
+  }
+  EXPECT_EQ(bad_box_errors.load(), 1);
+  EXPECT_EQ(bad_point_errors.load(), 1);
+  server.stop();
+  const ServerHealth health = server.health();
+  EXPECT_EQ(health.executed, queued + 1);
+  EXPECT_EQ(health.batches_dispatched, 2u);  // the plug, then all the rest
 }
 
 TEST(IndexServer, PropagatesEngineErrorsToTheCaller) {

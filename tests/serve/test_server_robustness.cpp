@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "sfc/rng/sampling.h"
 #include "sfc/serve/serve_error.h"
 #include "sfc/serve/server.h"
+#include "gated_curve.h"
 
 namespace sfc {
 namespace {
@@ -41,6 +43,19 @@ Fixture make_fixture(std::uint64_t seed) {
 
 Box small_box(const Fixture&) { return Box(Point{0, 0}, Point{7, 7}); }
 
+/// Opens `gate` from a helper thread once `server` has shed `sheds`
+/// submissions with ServerOverloadError, so a replay against a held
+/// dispatcher is guaranteed to see that much shed load.
+std::thread open_after_sheds(const IndexServer& server, GatedCurve& gate,
+                             std::uint64_t sheds) {
+  return std::thread([&server, &gate, sheds] {
+    while (server.health().rejected_overload < sheds) {
+      std::this_thread::yield();
+    }
+    gate.open();
+  });
+}
+
 TEST(ServerRobustness, PostStopQueriesThrowTypedStoppedError) {
   const Fixture f = make_fixture(3);
   IndexServer server(f.index.view(), {});
@@ -67,13 +82,15 @@ TEST(ServerRobustness, StopIsIdempotentAndConcurrencySafe) {
 
 TEST(ServerRobustness, BoundedQueueShedsWithOverloadError) {
   const Fixture f = make_fixture(5);
-  // A long window and max_batch so nothing dispatches while we fill the
-  // queue from this thread: admissions 1..4 enqueue, the 5th must shed.
+  // Hold the dispatcher inside a one-query batch so nothing else dispatches
+  // while we fill the queue: admissions 1..4 enqueue, the 5th must shed.
+  GatedCurve gate(*f.curve);
   ServerOptions options;
   options.max_batch = 1024;
-  options.batch_window_us = 200000;
   options.max_queue = 4;
-  IndexServer server(f.index.view(), options);
+  IndexServer server(gate.gate(f.index.view()), options);
+  std::thread plug([&] { server.range_query(small_box(f)); });
+  gate.wait_for_blocked_call();
 
   std::vector<std::thread> clients;
   std::atomic<int> admitted{0};
@@ -91,53 +108,61 @@ TEST(ServerRobustness, BoundedQueueShedsWithOverloadError) {
       }
     });
     // Serialize admissions so exactly the 5th arrival sees a full queue.
-    while (i < 4 && server.health().queue_depth + server.health().executed <
+    while (i < 4 && server.health().queue_depth <
                         static_cast<std::uint64_t>(i + 1)) {
       std::this_thread::yield();
     }
   }
-  // Wait for the 5th arrival to shed before stopping, so the rejection is
-  // an overload (full queue), never a post-stop rejection.
   while (shed.load() == 0) std::this_thread::yield();
-  // Unblock the queue: stop() closes the window early and drains.
-  server.stop();
+  gate.open();
+  plug.join();
   for (std::thread& t : clients) t.join();
+  server.stop();
 
   EXPECT_EQ(admitted.load(), 4);
   EXPECT_EQ(shed.load(), 1);
   EXPECT_EQ(seen_depth.load(), 4u);
   const ServerHealth health = server.health();
-  EXPECT_EQ(health.accepted, 4u);
+  EXPECT_EQ(health.accepted, 5u);  // the plug + 4
   EXPECT_EQ(health.rejected_overload, 1u);
-  EXPECT_EQ(health.executed, 4u);
+  EXPECT_EQ(health.executed, 5u);
   EXPECT_EQ(health.queue_depth, 0u);
 }
 
 TEST(ServerRobustness, ExpiredDeadlineFailsFastWithTimeoutError) {
   const Fixture f = make_fixture(7);
-  // Window far beyond the deadline: the query expires while queued, and the
-  // dispatcher (which closes the batch at the earliest deadline) must fail
+  // The dispatcher is held inside an earlier batch past the query's
+  // deadline: the query expires while queued, and batch formation must fail
   // it with the typed error rather than execute it late.
+  GatedCurve gate(*f.curve);
   ServerOptions options;
-  options.batch_window_us = 500000;
   options.max_batch = 1024;
-  IndexServer server(f.index.view(), options);
+  IndexServer server(gate.gate(f.index.view()), options);
+  std::thread plug([&] { server.range_query(small_box(f)); });
+  gate.wait_for_blocked_call();
+  std::thread opener([&] {
+    while (server.health().queue_depth < 1) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(4));
+    gate.open();
+  });
   try {
-    server.range_query(small_box(f), 2000);  // 2ms deadline, 500ms window
+    server.range_query(small_box(f), 2000);  // 2ms deadline, held >= 4ms
     FAIL() << "expected ServerTimeoutError";
   } catch (const ServerTimeoutError& error) {
     EXPECT_EQ(error.deadline_us(), 2000u);
     EXPECT_GE(error.waited_us(), 2000u);
   }
+  opener.join();
+  plug.join();
+  server.stop();
   const ServerHealth health = server.health();
   EXPECT_EQ(health.timed_out, 1u);
-  EXPECT_EQ(health.executed, 0u);
+  EXPECT_EQ(health.executed, 1u);  // the plug only
 }
 
 TEST(ServerRobustness, GenerousDeadlineStillAnswers) {
   const Fixture f = make_fixture(7);
   ServerOptions options;
-  options.batch_window_us = 200;
   options.deadline_us = 5000000;  // 5s default deadline: never hit
   IndexServer server(f.index.view(), options);
   (void)server.range_query(small_box(f));
@@ -162,7 +187,6 @@ TEST(ServerRobustness, StopDrainsInFlightClientsRacingStop) {
   const Fixture f = make_fixture(11);
   ServerOptions options;
   options.max_batch = 8;
-  options.batch_window_us = 100;
   IndexServer server(f.index.view(), options);
 
   std::atomic<int> answered{0};
@@ -204,20 +228,23 @@ TEST(ServerRobustness, ReplayRetriesRecoverSheddedQueries) {
   trace_options.seed = 13;
   const QueryTrace trace = generate_trace(u, trace_options);
 
-  // A tiny queue plus many clients forces overload; generous retries let
-  // every query eventually land.  The accounting identity must hold either
-  // way: accepted + rejected + timed_out == queries.
+  // A tiny queue plus many clients, and a dispatcher held until the queue
+  // has shed, forces overload; generous retries let every query eventually
+  // land.  The accounting identity must hold either way:
+  // accepted + rejected + timed_out == queries.
+  GatedCurve gate(*f.curve);
   ServerOptions options;
   options.max_queue = 2;
   options.max_batch = 2;
-  options.batch_window_us = 50;
-  IndexServer server(f.index.view(), options);
+  IndexServer server(gate.gate(f.index.view()), options);
+  std::thread opener = open_after_sheds(server, gate, 1);
   ReplayOptions replay;
   replay.clients = 16;
   replay.max_retries = 1000;
   replay.backoff_base_us = 50;
   replay.backoff_max_us = 2000;
   const ReplayReport report = replay_trace(server, trace, replay);
+  opener.join();
 
   EXPECT_EQ(report.queries, trace.size());
   EXPECT_EQ(report.accepted + report.rejected + report.timed_out,
@@ -241,15 +268,17 @@ TEST(ServerRobustness, ReplayCountsUnrecoveredShedLoad) {
 
   // No retries and a tiny queue: shed queries stay shed, and the report
   // says exactly how many — p50/p99 cover only the accepted ones.
+  GatedCurve gate(*f.curve);
   ServerOptions options;
   options.max_queue = 1;
   options.max_batch = 1;
-  options.batch_window_us = 2000;
-  IndexServer server(f.index.view(), options);
+  IndexServer server(gate.gate(f.index.view()), options);
+  std::thread opener = open_after_sheds(server, gate, 1);
   ReplayOptions replay;
   replay.clients = 32;
   replay.max_retries = 0;
   const ReplayReport report = replay_trace(server, trace, replay);
+  opener.join();
 
   EXPECT_EQ(report.queries, trace.size());
   EXPECT_EQ(report.accepted + report.rejected + report.timed_out,
@@ -274,17 +303,24 @@ TEST(ServerRobustness, ReplayCountsEachQueryExactlyOnceAcrossRetries) {
   trace_options.seed = 19;
   const QueryTrace trace = generate_trace(u, trace_options);
 
+  // While the dispatcher is held, one query executes and one waits in the
+  // queue; every other submission sheds.  A client with a query admitted
+  // makes no further attempt until the gate opens, so each shedding client
+  // sheds from its first attempt on — and 2 * clients + 1 sheds mean some
+  // client has shed all three attempts of one query.
+  GatedCurve gate(*f.curve);
   ServerOptions options;
   options.max_queue = 1;
   options.max_batch = 1;
-  options.batch_window_us = 1000;
-  IndexServer server(f.index.view(), options);
+  IndexServer server(gate.gate(f.index.view()), options);
   ReplayOptions replay;
   replay.clients = 24;
   replay.max_retries = 2;  // some queries recover, some exhaust the budget
   replay.backoff_base_us = 50;
   replay.backoff_max_us = 500;
+  std::thread opener = open_after_sheds(server, gate, 2 * replay.clients + 1);
   const ReplayReport report = replay_trace(server, trace, replay);
+  opener.join();
 
   EXPECT_EQ(report.queries, trace.size());
   EXPECT_EQ(report.accepted + report.rejected + report.timed_out,

@@ -1,13 +1,14 @@
-// Sharding is a serving-layer layout decision — it must never change an
+// Sharding is a serving-layer partition map — it must never change an
 // answer.  These tests pin the bit-identity of sharded range and kNN
 // execution against the unsharded executors for every shard count, plus the
-// structural invariants of the shard slices themselves.
+// structural invariants of the partition itself.
 #include "sfc/serve/sharded_index.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sfc/curves/curve_factory.h"
@@ -49,35 +50,48 @@ Workload make_workload(const std::string& family, coord_t side,
 
 TEST(ShardedIndex, ShardsPartitionTheRows) {
   const Workload w = make_workload("hilbert", 64, 17);
+  const IndexColumnsView& base = w.index.view();
   for (const int bits : {0, 1, 3, 5}) {
-    const ShardedIndex sharded(w.index.view(), bits);
+    const ShardedIndex sharded(base, bits);
     ASSERT_EQ(sharded.shard_count(), std::size_t{1} << bits);
     std::uint64_t total = 0;
     index_t previous_hi = 0;
     for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-      const IndexColumnsView& shard = sharded.shard(s);
       const KeyInterval range = sharded.shard_key_range(s);
       if (s > 0) {
         EXPECT_EQ(range.lo, previous_hi + 1) << "shard " << s;
       }
       previous_hi = range.hi;
       EXPECT_EQ(sharded.shard_row_begin(s), total) << "shard " << s;
-      for (std::uint64_t r = 0; r < shard.row_count(); ++r) {
-        const index_t key = shard.key_of_row(r);
+      const std::uint64_t end = sharded.shard_row_end(s);
+      for (std::uint64_t r = total; r < end; ++r) {
+        const index_t key = base.key_of_row(r);
         EXPECT_GE(key, range.lo) << "shard " << s << " row " << r;
         EXPECT_LE(key, range.hi) << "shard " << s << " row " << r;
-        // Shard rows are the base rows, in order.
-        EXPECT_EQ(key, w.index.view().key_of_row(total + r));
-        EXPECT_EQ(shard.id_of_row(r), w.index.view().id_of_row(total + r));
       }
-      // The rebuilt directory answers interval queries like the base does.
-      if (!shard.empty()) {
-        EXPECT_EQ(shard.rows_in_interval(range.lo, range.hi).second,
-                  shard.row_count());
-      }
-      total += shard.row_count();
+      // The shard's rows are exactly the base rows in its key range.
+      EXPECT_EQ(base.rows_in_interval(range.lo, range.hi),
+                std::make_pair(total, end))
+          << "shard " << s;
+      total = end;
     }
     EXPECT_EQ(total, w.index.row_count()) << "shard_bits " << bits;
+  }
+}
+
+TEST(ShardedIndex, UntrustedKeysMapEqualsDirectoryMapOnCleanRows) {
+  for (const std::string family : {"hilbert", "z", "peano"}) {
+    const Workload w = make_workload(family, family == "peano" ? 27 : 64, 23);
+    for (const int bits : {0, 1, 3, 5}) {
+      const ShardedIndex trusted(w.index.view(), bits);
+      const ShardedIndex untrusted =
+          ShardedIndex::from_untrusted_keys(w.index.view(), bits);
+      ASSERT_EQ(untrusted.shard_count(), trusted.shard_count());
+      for (std::size_t s = 0; s < trusted.shard_count(); ++s) {
+        EXPECT_EQ(untrusted.shard_row_begin(s), trusted.shard_row_begin(s))
+            << family << " shard_bits " << bits << " shard " << s;
+      }
+    }
   }
 }
 
@@ -156,7 +170,7 @@ TEST(ShardedIndex, NonPowerOfTwoUniverseShards) {
   const ShardedIndex sharded(w.index.view(), 4);
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    total += sharded.shard(s).row_count();
+    total += sharded.shard_row_end(s) - sharded.shard_row_begin(s);
   }
   EXPECT_EQ(total, w.index.row_count());
   const auto results = run_knn_queries(sharded, w.queries, 4);

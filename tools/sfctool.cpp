@@ -720,8 +720,13 @@ int cmd_trace_gen(const Command& cmd, const cli::Args& args) {
       *knn_percent > 100) {
     return usage_command(cmd, "bad numeric flag");
   }
-  const Universe u = Universe::pow2(static_cast<int>(*dim),
-                                    static_cast<int>(*bits));
+  // The same universe check index-write runs, so an oversized universe is a
+  // usage error here too rather than an abort in Universe.
+  std::string error;
+  const CurvePtr curve = build_curve("z", static_cast<int>(*dim),
+                                     static_cast<int>(*bits), 0, &error);
+  if (!curve) return usage_command(cmd, error);
+  const Universe& u = curve->universe();
   TraceGenOptions options;
   options.count = static_cast<std::uint64_t>(*count);
   options.box_extent = static_cast<std::uint32_t>(*extent);
@@ -838,7 +843,6 @@ int cmd_serve_bench(const Command& cmd, const cli::Args& args) {
   const std::string clients_text = args.get_string("clients", "1,8,64");
   const auto shards = args.get_int("shards", 4);
   const auto max_batch = args.get_int("max-batch", 64);
-  const auto window_us = args.get_int("window-us", 200);
   const auto max_p99_us = args.get_int("max-p99-us", 0);  // 0 = no gate
   const auto max_queue = args.get_int("max-queue", 0);    // 0 = unbounded
   const auto deadline_us = args.get_int("deadline-us", 0);  // 0 = none
@@ -849,9 +853,9 @@ int cmd_serve_bench(const Command& cmd, const cli::Args& args) {
   // list (first entry uncontended, later entries past capacity) this checks
   // that admission control sheds load instead of letting latency collapse.
   const auto overload_factor = args.get_int("overload-p99-factor", 0);
-  if (!shards || !max_batch || !window_us || !max_p99_us || !max_queue ||
-      !deadline_us || !retries || !backoff_us || !overload_factor ||
-      *shards < 0 || *max_batch < 1 || *window_us < 0 || *max_p99_us < 0 ||
+  if (!shards || !max_batch || !max_p99_us || !max_queue || !deadline_us ||
+      !retries || !backoff_us || !overload_factor || *shards < 0 ||
+      *max_batch < 1 || *max_p99_us < 0 ||
       *max_queue < 0 || *deadline_us < 0 || *retries < 0 || *backoff_us < 1 ||
       *overload_factor < 0) {
     return usage_command(cmd, "bad numeric flag");
@@ -898,7 +902,6 @@ int cmd_serve_bench(const Command& cmd, const cli::Args& args) {
     ServerOptions server_options;
     server_options.shard_bits = static_cast<int>(*shards);
     server_options.max_batch = static_cast<std::uint32_t>(*max_batch);
-    server_options.batch_window_us = static_cast<std::uint32_t>(*window_us);
     server_options.max_queue = static_cast<std::uint32_t>(*max_queue);
     server_options.deadline_us = static_cast<std::uint64_t>(*deadline_us);
     IndexServer server(source.view, server_options);
@@ -921,8 +924,7 @@ int cmd_serve_bench(const Command& cmd, const cli::Args& args) {
   }
   table.print(std::cout);
   std::cout << "shards 2^" << *shards << ", max batch " << *max_batch
-            << ", batch window " << *window_us << " us, max queue "
-            << *max_queue << ", deadline " << *deadline_us << " us, retries "
+            << ", max queue " << *max_queue << ", deadline " << *deadline_us << " us, retries "
             << *retries << "\n";
 
   const std::string json_path = args.get_string("json", "");
@@ -1034,7 +1036,6 @@ int cmd_serve_chaos(const Command& cmd, const cli::Args& args) {
   const auto crash_every = args.get_int("crash-every", 0);
   const auto shards = args.get_int("shards", 4);
   const auto max_batch = args.get_int("max-batch", 64);
-  const auto window_us = args.get_int("window-us", 200);
   const auto max_queue = args.get_int("max-queue", 0);
   const auto deadline_us = args.get_int("deadline-us", 0);
   const auto retries = args.get_int("retries", 3);
@@ -1042,10 +1043,10 @@ int cmd_serve_chaos(const Command& cmd, const cli::Args& args) {
   const auto p99_factor = args.get_int("p99-factor", 2);
   if (!dim || !bits || !seed || !points || !block_rows || !clients ||
       !duration_s || !reload_ms || !crash_every || !shards || !max_batch ||
-      !window_us || !max_queue || !deadline_us || !retries || !backoff_us ||
-      !p99_factor || *points < 1 || *block_rows < 1 || *clients < 1 ||
-      *duration_s < 1 || *reload_ms < 1 || *crash_every < 0 || *shards < 0 ||
-      *max_batch < 1 || *window_us < 0 || *max_queue < 0 || *deadline_us < 0 ||
+      !max_queue || !deadline_us || !retries || !backoff_us || !p99_factor ||
+      *points < 1 || *block_rows < 1 || *clients < 1 || *duration_s < 1 ||
+      *reload_ms < 1 || *crash_every < 0 || *shards < 0 || *max_batch < 1 ||
+      *max_queue < 0 || *deadline_us < 0 ||
       *retries < 0 || *backoff_us < 1 || *p99_factor < 1) {
     return usage_command(cmd, "bad numeric flag");
   }
@@ -1070,7 +1071,6 @@ int cmd_serve_chaos(const Command& cmd, const cli::Args& args) {
   options.backoff_base_us = static_cast<std::uint32_t>(*backoff_us);
   options.server.shard_bits = static_cast<int>(*shards);
   options.server.max_batch = static_cast<std::uint32_t>(*max_batch);
-  options.server.batch_window_us = static_cast<std::uint32_t>(*window_us);
   options.server.max_queue = static_cast<std::uint32_t>(*max_queue);
   options.server.deadline_us = static_cast<std::uint64_t>(*deadline_us);
   const std::string trace_path = args.get_string("trace", "");
@@ -1355,8 +1355,8 @@ const std::vector<Command>& command_table() {
              {"trace", "FILE", "query trace to replay (required)"},
              {"clients", "LIST", "client counts, e.g. 1,8,64 (default)"},
              {"shards", "B", "use 2^B curve-contiguous shards (default 4)"},
-             {"max-batch", "N", "admission batch size (default 64)"},
-             {"window-us", "U", "admission batch window, us (default 200)"},
+             {"max-batch", "N",
+              "most queued queries taken into one batch (default 64)"},
              {"json", "FILE", "write google-benchmark-shaped JSON"},
              {"max-p99-us", "U", "fail if any p99 exceeds this (0 = off)"},
              {"max-queue", "N", "admission queue bound (0 = unbounded)"},
@@ -1382,8 +1382,8 @@ const std::vector<Command>& command_table() {
         {"reload-every-ms", "MS", "writer rewrite+reload cadence (default 100)"},
         {"crash-every", "N", "crash cycle every Nth rewrite (0 = off)"},
         {"shards", "B", "use 2^B curve-contiguous shards (default 4)"},
-        {"max-batch", "N", "admission batch size (default 64)"},
-        {"window-us", "U", "admission batch window, us (default 200)"},
+        {"max-batch", "N",
+         "most queued queries taken into one batch (default 64)"},
         {"max-queue", "N", "admission queue bound (0 = unbounded)"},
         {"deadline-us", "U", "per-query deadline, us (0 = none)"},
         {"retries", "N", "client retries on overload/timeout (default 3)"},
