@@ -108,6 +108,7 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
   const std::span<const index_t> keys = base.keys();
   const std::uint64_t rows = base.row_count();
   const index_t cells = base.curve().universe().cell_count();
+  const std::uint64_t block_rows = base.block_rows();
   for (std::size_t s = 0; s < count; ++s) {
     const std::uint64_t begin = sharded.shard_row_begin(s);
     std::string why =
@@ -122,8 +123,8 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
   // lives.
   const std::span<const index_t> directory = base.block_last_key();
   for (std::uint64_t b = 0; b < directory.size(); ++b) {
-    const std::uint64_t end = std::min<std::uint64_t>(
-        (b + 1) * std::uint64_t{base.block_rows()}, rows);
+    const std::uint64_t end =
+        std::min<std::uint64_t>((b + 1) * block_rows, rows);
     if (end == 0) break;
     if (directory[b] != keys[end - 1]) {
       mark_dead(shard_of_row(sharded, end - 1),
@@ -133,23 +134,34 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
   }
 
   // A live shard must own exactly its rows.  A row just outside its edge
-  // that sits in a dead shard with a key outside that shard's range could
-  // be one of this shard's own rows with a garbage key, so the boundary is
-  // not attributable and the live shard dies too.  (Rows it marks dead all
-  // carry in-range keys, so one pass is enough.)
-  const auto attributable = [&](std::uint64_t row) {
+  // that sits in a dead shard could be one of this shard's own rows with a
+  // garbage key, which would leave the live shard silently short of it.  The
+  // row is attributed to the dead shard only when its key lies in that
+  // shard's range, is in order with the row beside it inside that shard
+  // (the row before it for a dead shard's last row, the row after it for a
+  // dead shard's first row), and agrees with the directory if it ends a
+  // block; otherwise the live shard dies too.  (Shards this marks dead
+  // passed their own checks, so their rows stay attributable and one pass
+  // is enough.)
+  const auto attributable = [&](std::uint64_t row, bool inner_before) {
     const std::size_t t = shard_of_row(sharded, row);
+    if (gen->shard_alive_[t] != 0) return true;
     const KeyInterval range = sharded.shard_key_range(t);
-    return gen->shard_alive_[t] != 0 ||
-           (keys[row] >= range.lo && keys[row] <= range.hi);
+    const bool in_order =
+        inner_before
+            ? row > sharded.shard_row_begin(t) && keys[row - 1] <= keys[row]
+            : row + 1 < sharded.shard_row_end(t) && keys[row] <= keys[row + 1];
+    const bool ends_block = (row + 1) % block_rows == 0 || row + 1 == rows;
+    return keys[row] >= range.lo && keys[row] <= range.hi && in_order &&
+           (!ends_block || directory[row / block_rows] == keys[row]);
   };
   std::vector<std::size_t> unattributable;
   for (std::size_t s = 0; s < count; ++s) {
     const std::uint64_t begin = sharded.shard_row_begin(s);
     const std::uint64_t end = sharded.shard_row_end(s);
     if (gen->shard_alive_[s] != 0 &&
-        ((begin > 0 && !attributable(begin - 1)) ||
-         (end < rows && !attributable(end)))) {
+        ((begin > 0 && !attributable(begin - 1, true)) ||
+         (end < rows && !attributable(end, false)))) {
       unattributable.push_back(s);
     }
   }
@@ -195,7 +207,6 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
     gen->live_ids_.insert(gen->live_ids_.end(), shard_ids.begin(),
                           shard_ids.end());
   }
-  const std::uint64_t block_rows = base.block_rows();
   for (std::uint64_t end = block_rows; end - block_rows < gen->live_keys_.size();
        end += block_rows) {
     gen->live_directory_.push_back(

@@ -317,32 +317,33 @@ TEST(Generation, DegradedModeRoutesAroundDeadShardsForEveryFamily) {
   }
 }
 
+/// Writes `values` over elements `first`, `first + 1`, ... of column
+/// `column` (0 keys, 2 directory) of the file at `path`.
+void overwrite_column(const std::string& path, int column,
+                      std::uint64_t first, const std::vector<index_t>& values) {
+  MappedIndexOptions lazy;
+  lazy.verify = false;
+  lazy.lock = false;
+  std::uint64_t offset = 0;
+  {
+    const MappedIndex mapped = MappedIndex::open(path, lazy);
+    offset = mapped.column_offset(column) + first * sizeof(index_t);
+  }
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good());
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.write(reinterpret_cast<const char*>(values.data()),
+             static_cast<std::streamsize>(values.size() * sizeof(index_t)));
+  ASSERT_TRUE(file.good());
+}
+
 /// Overwrites `rows` keys from global row `first_row`, and directory entry
 /// `block`, of the file at `path` with `key`.
 void stomp_keys_and_directory(const std::string& path, std::uint64_t first_row,
                               std::uint64_t rows, std::uint64_t block,
                               index_t key) {
-  MappedIndexOptions lazy;
-  lazy.verify = false;
-  lazy.lock = false;
-  std::uint64_t keys_offset = 0;
-  std::uint64_t directory_offset = 0;
-  {
-    const MappedIndex mapped = MappedIndex::open(path, lazy);
-    keys_offset = mapped.column_offset(0);
-    directory_offset = mapped.column_offset(2);
-  }
-  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-  ASSERT_TRUE(file.good());
-  const std::vector<index_t> stomp(rows, key);
-  file.seekp(static_cast<std::streamoff>(keys_offset +
-                                         first_row * sizeof(index_t)));
-  file.write(reinterpret_cast<const char*>(stomp.data()),
-             static_cast<std::streamsize>(rows * sizeof(index_t)));
-  file.seekp(static_cast<std::streamoff>(directory_offset +
-                                         block * sizeof(index_t)));
-  file.write(reinterpret_cast<const char*>(&key), sizeof(key));
-  ASSERT_TRUE(file.good());
+  overwrite_column(path, 0, first_row, std::vector<index_t>(rows, key));
+  overwrite_column(path, 2, block, {key});
 }
 
 /// Opens the corrupted file at `path` strictly (must throw) and degraded
@@ -497,6 +498,66 @@ TEST(Generation, DegradedModeKillsALiveShardWithAnUnattributableEdge) {
                              a.curve->universe().cell_count() - 1);
 
     expect_degraded_answers(a, path, kShardBits, {0, 1}, family);
+  }
+}
+
+TEST(Generation, DegradedModeKillsBothShardsAroundAMovedEdgeKey) {
+  // One key at the boundary of shards 0 and 1 is moved across it, so the
+  // key map hands the row to the other shard, which dies.  The shard that
+  // lost the row verifies clean, so it must die too: its probes would
+  // otherwise return full answers without the row's id.  Three ways to
+  // move it: shard 1's first key flipped down a shard bit (out of order in
+  // shard 0), shard 0's last key flipped up (out of order in shard 1), and
+  // shard 1's first key, which ends a block, moved down in order (caught
+  // only by its directory entry).
+  constexpr int kShardBits = 2;
+  for (const std::string family : {"hilbert", "z", "snake", "gray", "simple",
+                                   "random"}) {
+    for (const int mode : {0, 1, 2}) {
+      Dataset a = make_dataset(family, 50, 8000);
+      const index_t shard_width =
+          ShardedIndex(a.index.view(), kShardBits).shard_key_range(1).lo;
+      const std::uint64_t block_rows = a.index.view().block_rows();
+      if (mode == 2) {
+        // Drop shard-0 points until shard 1's first row ends a block.
+        std::uint64_t drop =
+            (ShardedIndex(a.index.view(), kShardBits).shard_row_end(0) + 1) %
+            block_rows;
+        std::vector<Point> kept;
+        for (const Point& p : a.points) {
+          if (drop > 0 && a.curve->index_of(p) < shard_width) {
+            --drop;
+          } else {
+            kept.push_back(p);
+          }
+        }
+        a.points = std::move(kept);
+        a.index = PointIndex::build(*a.curve, a.points);
+      }
+      const std::uint64_t b =
+          ShardedIndex(a.index.view(), kShardBits).shard_row_begin(1);
+      const auto keys = a.index.keys();
+      const std::string path =
+          temp_path("moved_edge_" + family + std::to_string(mode));
+      write_index_file(path, a.index, a.descriptor);
+
+      std::uint64_t row = b;
+      index_t key = 0;
+      if (mode == 0) {
+        key = keys[b] - shard_width;
+        ASSERT_LT(key, keys[b - 1]) << family;
+      } else if (mode == 1) {
+        row = b - 1;
+        key = keys[b - 1] + shard_width;
+        ASSERT_GT(key, keys[b]) << family;
+      } else {
+        ASSERT_EQ((b + 1) % block_rows, 0u) << family;
+        key = shard_width - 1;
+      }
+      overwrite_column(path, 0, row, {key});
+      expect_degraded_answers(a, path, kShardBits, {0, 1},
+                              family + " mode " + std::to_string(mode));
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include "sfc/curves/curve_factory.h"
 #include "sfc/index/executor.h"
 #include "sfc/index/point_index.h"
+#include "sfc/obs/metrics.h"
 #include "sfc/ranges/range_cover.h"
 #include "sfc/rng/sampling.h"
 #include "sfc/serve/serve_error.h"
@@ -84,6 +85,7 @@ TEST(IndexServer, AnswersMatchDirectEnginesUnderConcurrentClients) {
     options.shard_bits = 3;
     options.max_batch = 16;
     IndexServer server(f.index.view(), options);
+    const MetricsSnapshot before = MetricsRegistry::global().snapshot();
 
     std::vector<std::vector<std::uint32_t>> range_got(range_slots.size());
     std::vector<std::vector<KnnNeighbor>> knn_got(knn_slots.size());
@@ -117,6 +119,16 @@ TEST(IndexServer, AnswersMatchDirectEnginesUnderConcurrentClients) {
     EXPECT_EQ(health.executed, f.trace.size());
     EXPECT_GE(health.batches_dispatched, 1u);
     EXPECT_LE(health.batches_dispatched, f.trace.size());
+#ifndef SFC_OBS_DISABLED
+    // Each query is counted once, under its own kind.
+    const MetricsSnapshot after = MetricsRegistry::global().snapshot();
+    EXPECT_EQ(after.value("serve.range_queries") -
+                  before.value("serve.range_queries"),
+              static_cast<std::int64_t>(range_slots.size()));
+    EXPECT_EQ(after.value("serve.knn_queries") -
+                  before.value("serve.knn_queries"),
+              static_cast<std::int64_t>(knn_slots.size()));
+#endif
   }
 }
 

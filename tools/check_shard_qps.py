@@ -2,15 +2,15 @@
 """Gate: sharding must not cost throughput.
 
 Runs `sfctool serve-bench` in pairs on one index and one trace, once with
-`--shards 0` and once with `--shards B`, alternating which goes first, and
-fails if the median over pairs of the QPS ratio (sharded / unsharded) falls
-below the floor.  Pairing inside one job makes the gate a ratio of two runs
-on the same machine a moment apart, so runner drift cancels instead of
-masquerading as a sharding cost (the method of check_obs_overhead.py).
+`--shards 0` and once with `--shards 4`, alternating which goes first, and
+fails if the median over 7 pairs of the 64-client QPS ratio (sharded /
+unsharded) falls below 0.9.  Pairing inside one job makes the gate a ratio
+of two runs on the same machine a moment apart, so runner drift cancels
+instead of masquerading as a sharding cost (the method of
+check_obs_overhead.py).
 
   check_shard_qps.py --sfctool build/tools/sfctool --file index.sfcidx \\
       --trace data/traces/serve_smoke_1k.trace
-  check_shard_qps.py ... --clients 64 --shards 4 --pairs 5 --min-ratio 0.9
 """
 import argparse
 import json
@@ -20,21 +20,26 @@ import subprocess
 import sys
 import tempfile
 
+CLIENTS = 64
+SHARD_BITS = 4
+PAIRS = 7
+MIN_RATIO = 0.9
+
 
 def replay_qps(args, shards, json_path):
-    """One serve-bench replay; returns its QPS at args.clients."""
+    """One serve-bench replay; returns its QPS at CLIENTS clients."""
     cmd = [
         args.sfctool, "serve-bench",
         "--file", args.file,
         "--trace", args.trace,
-        "--clients", str(args.clients),
+        "--clients", str(CLIENTS),
         "--shards", str(shards),
         "--json", json_path,
     ]
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
     with open(json_path, encoding="utf-8") as fh:
         report = json.load(fh)
-    name = f"serve_replay_p50/clients:{args.clients}"
+    name = f"serve_replay_p50/clients:{CLIENTS}"
     row = next(b for b in report["benchmarks"] if b["name"] == name)
     return float(row["items_per_second"])
 
@@ -45,29 +50,23 @@ def main():
     parser.add_argument("--sfctool", required=True, help="path to sfctool")
     parser.add_argument("--file", required=True, help="index file to serve")
     parser.add_argument("--trace", required=True, help="query trace to replay")
-    parser.add_argument("--clients", type=int, default=64)
-    parser.add_argument("--shards", type=int, default=4,
-                        help="shard bits of the sharded side (default 4)")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--min-ratio", type=float, default=0.9,
-                        help="floor on the median sharded/unsharded QPS ratio")
     args = parser.parse_args()
 
     ratios = []
     with tempfile.TemporaryDirectory() as tmp:
         json_path = os.path.join(tmp, "serve.json")
-        for pair in range(args.pairs):
-            order = [0, args.shards] if pair % 2 == 0 else [args.shards, 0]
+        for pair in range(PAIRS):
+            order = [0, SHARD_BITS] if pair % 2 == 0 else [SHARD_BITS, 0]
             qps = {shards: replay_qps(args, shards, json_path) for shards in order}
-            ratio = qps[args.shards] / qps[0]
+            ratio = qps[SHARD_BITS] / qps[0]
             ratios.append(ratio)
-            print(f"pair {pair}: shards 0 {qps[0]:,.0f} qps, shards 2^{args.shards} "
-                  f"{qps[args.shards]:,.0f} qps, ratio {ratio:.3f}")
+            print(f"pair {pair}: shards 0 {qps[0]:,.0f} qps, shards 2^{SHARD_BITS} "
+                  f"{qps[SHARD_BITS]:,.0f} qps, ratio {ratio:.3f}")
 
     median = statistics.median(ratios)
-    print(f"median ratio over {len(ratios)} pairs at {args.clients} clients: "
-          f"{median:.3f} (floor {args.min_ratio})")
-    if median < args.min_ratio:
+    print(f"median ratio over {len(ratios)} pairs at {CLIENTS} clients: "
+          f"{median:.3f} (floor {MIN_RATIO})")
+    if median < MIN_RATIO:
         print("FAIL: sharded serving loses throughput against one shard")
         return 1
     print("OK")
